@@ -1,4 +1,5 @@
-// Ablation: TBF bucket depth (DESIGN.md §4).
+// Ablation: TBF bucket depth (docs/paper_deviations.md, "Ablation
+// switches").
 //
 // Lustre defaults the bucket depth to 3 tokens — enough to absorb a tiny
 // burst, small enough that a queue cannot bank a flood (§II-A). This sweep

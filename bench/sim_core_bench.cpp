@@ -9,8 +9,7 @@
 // scheduling must allocate exactly nothing (enforced by
 // --require-zero-alloc in CI).
 //
-// Usage: sim_core_bench [--events N] [--trials N] [--queue heap|calendar|both]
-//                       [--require-zero-alloc]
+// Usage: sim_core_bench [--events N] [--trials N] [--require-zero-alloc]
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -133,9 +132,9 @@ struct Storm {
   }
 };
 
-ChurnResult bench_churn(std::uint64_t events, QueueBackend backend) {
+ChurnResult bench_churn(std::uint64_t events) {
   constexpr int kChains = 512;
-  Simulator sim(Simulator::Config{backend, /*batched_dispatch=*/true});
+  Simulator sim;
   sim.reserve_events(kChains + 8);
   Ring ring{sim};
 
@@ -159,10 +158,9 @@ ChurnResult bench_churn(std::uint64_t events, QueueBackend backend) {
   return result;
 }
 
-ChurnResult bench_storm(std::uint64_t events, QueueBackend backend,
-                        bool batched) {
+ChurnResult bench_storm(std::uint64_t events) {
   constexpr int kChains = 512;
-  Simulator sim(Simulator::Config{backend, batched});
+  Simulator sim;
   sim.reserve_events(kChains + 8);
   Storm storm{sim};
 
@@ -185,11 +183,11 @@ ChurnResult bench_storm(std::uint64_t events, QueueBackend backend,
   return result;
 }
 
-ChurnResult bench_cancel(std::uint64_t pairs, QueueBackend backend) {
+ChurnResult bench_cancel(std::uint64_t pairs) {
   // Schedule-then-cancel against a populated queue: the O(1)-lookup cancel
-  // path (slot generation check + direct structure removal, no hash sets).
+  // path (slot generation check + direct heap removal, no hash sets).
   constexpr int kPending = 4096;
-  Simulator sim(Simulator::Config{backend, /*batched_dispatch=*/true});
+  Simulator sim;
   sim.reserve_events(kPending + 8);
   for (int i = 0; i < kPending; ++i)
     sim.schedule_at(SimTime(1'000'000'000 + i), [] {});
@@ -223,14 +221,13 @@ struct TrialResultStats {
   double events_per_sec = 0.0;
 };
 
-TrialResultStats bench_trials(int trials, QueueBackend backend) {
+TrialResultStats bench_trials(int trials) {
   // Full run_experiment trials of a paper scenario: the number every
   // campaign backend (threaded, sharded, dispatched) multiplies. Runs the
   // way a sweep worker does — one simulator reset() and reused per trial.
   const ScenarioSpec spec = scenario_token_allocation(BwControl::kAdaptive);
-  Simulator sim(Simulator::Config{backend, /*batched_dispatch=*/true});
+  Simulator sim;
   ExperimentOptions options = ExperimentOptions::without_trace();
-  options.queue_backend = backend;
   options.simulator = &sim;
   std::uint64_t events = 0;
   (void)run_experiment(spec, options);  // warm-up
@@ -246,82 +243,21 @@ TrialResultStats bench_trials(int trials, QueueBackend backend) {
   return stats;
 }
 
-struct BackendSeries {
-  ChurnResult churn;
-  ChurnResult cancel;
-  ChurnResult storm_batched;
-  ChurnResult storm_single;
-  TrialResultStats experiment;
-};
-
-BackendSeries run_backend(QueueBackend backend, std::uint64_t events,
-                          int trials) {
-  BackendSeries series;
-  series.churn = bench_churn(events, backend);
-  series.cancel = bench_cancel(events / 2, backend);
-  series.storm_batched = bench_storm(events, backend, /*batched=*/true);
-  series.storm_single = bench_storm(events, backend, /*batched=*/false);
-  series.experiment = bench_trials(trials, backend);
-  return series;
-}
-
-/// Prints one backend's series. The heap backend prints unprefixed keys —
-/// the exact key set earlier schema versions emitted, which the CI floor
-/// gate greps ("events_per_sec") — the calendar backend the same keys
-/// under a "calendar_" prefix.
-void print_series(const char* prefix, const BackendSeries& series,
-                  int trials) {
-  std::printf("%sevents_per_sec %.0f\n", prefix, series.churn.events_per_sec);
-  std::printf("%ssteady_allocs_per_event %.8f\n", prefix,
-              series.churn.allocs_per_event);
-  std::printf("%scancel_pairs_per_sec %.0f\n", prefix,
-              series.cancel.events_per_sec);
-  std::printf("%ssteady_allocs_per_cancel %.8f\n", prefix,
-              series.cancel.allocs_per_event);
-  std::printf("%sstorm_batched_events_per_sec %.0f\n", prefix,
-              series.storm_batched.events_per_sec);
-  std::printf("%sstorm_single_pop_events_per_sec %.0f\n", prefix,
-              series.storm_single.events_per_sec);
-  std::printf("%sstorm_batch_speedup %.3f\n", prefix,
-              series.storm_batched.events_per_sec /
-                  series.storm_single.events_per_sec);
-  std::printf("%sstorm_allocs_per_event %.8f\n", prefix,
-              series.storm_batched.allocs_per_event);
-  std::printf("%sexperiment_trials %d\n", prefix, trials);
-  std::printf("%strials_per_sec %.3f\n", prefix,
-              series.experiment.trials_per_sec);
-  std::printf("%sexperiment_events_per_sec %.0f\n", prefix,
-              series.experiment.events_per_sec);
-}
-
 int run(int argc, char** argv) {
   std::uint64_t events = 2'000'000;
   int trials = 8;
   bool require_zero_alloc = false;
-  bool run_heap = true;
-  bool run_calendar = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
       events = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
       trials = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--queue") == 0 && i + 1 < argc) {
-      const char* which = argv[++i];
-      run_heap = std::strcmp(which, "heap") == 0 ||
-                 std::strcmp(which, "both") == 0;
-      run_calendar = std::strcmp(which, "calendar") == 0 ||
-                     std::strcmp(which, "both") == 0;
-      if (!run_heap && !run_calendar) {
-        std::fprintf(stderr,
-                     "sim_core_bench: --queue must be heap|calendar|both\n");
-        return 2;
-      }
     } else if (std::strcmp(argv[i], "--require-zero-alloc") == 0) {
       require_zero_alloc = true;
     } else {
       std::fprintf(stderr,
                    "usage: sim_core_bench [--events N] [--trials N] "
-                   "[--queue heap|calendar|both] [--require-zero-alloc]\n");
+                   "[--require-zero-alloc]\n");
       return 2;
     }
   }
@@ -330,35 +266,33 @@ int run(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("schema_version 2\n");
+  const ChurnResult churn = bench_churn(events);
+  const ChurnResult cancel = bench_cancel(events / 2);
+  const ChurnResult storm = bench_storm(events);
+  const TrialResultStats experiment = bench_trials(trials);
+
+  std::printf("schema_version 3\n");
   std::printf("events_total %llu\n", static_cast<unsigned long long>(events));
+  std::printf("events_per_sec %.0f\n", churn.events_per_sec);
+  std::printf("steady_allocs_per_event %.8f\n", churn.allocs_per_event);
+  std::printf("cancel_pairs_per_sec %.0f\n", cancel.events_per_sec);
+  std::printf("steady_allocs_per_cancel %.8f\n", cancel.allocs_per_event);
+  std::printf("storm_batched_events_per_sec %.0f\n", storm.events_per_sec);
+  std::printf("storm_allocs_per_event %.8f\n", storm.allocs_per_event);
+  std::printf("experiment_trials %d\n", trials);
+  std::printf("trials_per_sec %.3f\n", experiment.trials_per_sec);
+  std::printf("experiment_events_per_sec %.0f\n",
+              experiment.events_per_sec);
 
-  BackendSeries heap_series;
-  if (run_heap) {
-    heap_series = run_backend(QueueBackend::kHeap, events, trials);
-    print_series("", heap_series, trials);
-  }
-  if (run_calendar) {
-    const BackendSeries calendar =
-        run_backend(QueueBackend::kCalendar, events, trials);
-    print_series("calendar_", calendar, trials);
-  }
-  std::printf("callback_heap_fallbacks %llu\n",
-              static_cast<unsigned long long>(EventCallback::heap_fallbacks()));
-
-  // The allocation-free contract is gated on the heap backend (the
-  // default); the calendar series is informational.
-  if (require_zero_alloc && run_heap &&
-      (heap_series.churn.allocs_per_event != 0.0 ||
-       heap_series.cancel.allocs_per_event != 0.0 ||
-       heap_series.storm_batched.allocs_per_event != 0.0)) {
+  if (require_zero_alloc &&
+      (churn.allocs_per_event != 0.0 || cancel.allocs_per_event != 0.0 ||
+       storm.allocs_per_event != 0.0)) {
     std::fprintf(stderr,
                  "sim_core_bench: steady-state scheduling allocated "
                  "(%.8f/event, %.8f/cancel, %.8f/storm-event) — the "
                  "allocation-free contract is broken\n",
-                 heap_series.churn.allocs_per_event,
-                 heap_series.cancel.allocs_per_event,
-                 heap_series.storm_batched.allocs_per_event);
+                 churn.allocs_per_event, cancel.allocs_per_event,
+                 storm.allocs_per_event);
     return 1;
   }
   return 0;

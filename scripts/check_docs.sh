@@ -9,6 +9,8 @@
 #   4. the README must link every docs page
 #   5. docs/development.md must cover the correctness-tooling surface
 #      (sanitizer flavors, -Werror switch, lint scripts, test labels)
+#   6. every *.md file a file under src/, bench/ or tests/ names must
+#      exist, relative to the repo root or to the naming file
 #
 # Mentioning a header is a low bar on purpose: the check catches "we
 # added a subsystem and never documented it", not prose quality.
@@ -41,7 +43,8 @@ for sub in merge serve work stats search; do
 done
 
 for page in docs/architecture.md docs/formats.md docs/sweep_cli.md \
-            docs/search.md docs/observability.md docs/development.md; do
+            docs/search.md docs/observability.md docs/development.md \
+            docs/paper_deviations.md; do
   if ! grep -q "$page" README.md; then
     echo "docs check: README.md does not link $page" >&2
     fail=1
@@ -57,6 +60,15 @@ for term in ADAPTBF_SANITIZE ADAPTBF_WERROR lint_invariants.sh .clang-tidy \
     fail=1
   fi
 done
+
+refs=$(grep -roE '[A-Za-z0-9_./-]+\.md\b' src bench tests || true)
+while IFS=: read -r file ref; do
+  [ -n "$ref" ] || continue
+  if [ ! -f "$ref" ] && [ ! -f "$(dirname "$file")/$ref" ]; then
+    echo "docs check: $file names $ref, which does not exist" >&2
+    fail=1
+  fi
+done <<<"$refs"
 
 if [ "$fail" -eq 0 ]; then
   echo "docs check: OK"

@@ -64,9 +64,10 @@ WindowResult TokenAllocator::allocate(std::span<const JobWindowInput> active,
     } else {
       st.demand_estimate = input.demand;
     }
-    // Utilization u = d / α_{t-1} (eq. 3), guarded per DESIGN.md: a job
-    // never allocated before is neutral (u = 1); a job that had a zero
-    // allocation but still shows demand is an unbounded deficit.
+    // Utilization u = d / α_{t-1} (eq. 3), guarded per
+    // docs/paper_deviations.md: a job never allocated before is neutral
+    // (u = 1); a job that had a zero allocation but still shows demand is
+    // an unbounded deficit.
     if (st.prev_alloc < 0.0) {
       out.utilization = 1.0;
     } else if (st.prev_alloc == 0.0) {

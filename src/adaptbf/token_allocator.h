@@ -20,7 +20,7 @@
 // repairs any ±k mismatch with the window's total token budget.
 //
 // Deviations from the paper, chosen where the text is ambiguous (see
-// DESIGN.md §2): the reclaim coefficient C is one per-window scalar (the
+// docs/paper_deviations.md): the reclaim coefficient C is one per-window scalar (the
 // eq. 13 RHS does not depend on the borrower) clamped to [0,1]; the eq. 14
 // bound uses the post-redistribution record |r_RD|; on token excess the
 // largest-remainder fix decrements the job with the *smallest* remainder.
@@ -56,7 +56,8 @@ struct AllocatorConfig {
   /// EWMA smoothing factor in (0, 1]; weight of the newest window.
   double ewma_alpha = 0.3;
 
-  // Ablation switches (DESIGN.md §4). All on = the paper's algorithm.
+  // Ablation switches (docs/paper_deviations.md, "Ablation switches").
+  // All on = the paper's algorithm.
   bool enable_redistribution = true;
   bool enable_recompensation = true;
   bool enable_remainders = true;

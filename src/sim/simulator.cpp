@@ -93,28 +93,14 @@ void Simulator::drain_batch() {
 
 void Simulator::run_until(SimTime deadline) {
   ADAPTBF_CHECK(deadline >= now_);
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    if (config_.batched_dispatch) {
-      // Every event staged here carries next_time() <= deadline: the whole
-      // cohort shares one timestamp, so the deadline check holds for all.
-      drain_batch();
-    } else {
-      auto fired = queue_.pop();
-      dispatch(fired);
-    }
-  }
+  // Every event staged by one drain carries next_time() <= deadline: the
+  // whole cohort shares one timestamp, so the deadline check holds for all.
+  while (!queue_.empty() && queue_.next_time() <= deadline) drain_batch();
   now_ = deadline;
 }
 
 void Simulator::run_to_completion() {
-  while (!queue_.empty()) {
-    if (config_.batched_dispatch) {
-      drain_batch();
-    } else {
-      auto fired = queue_.pop();
-      dispatch(fired);
-    }
-  }
+  while (!queue_.empty()) drain_batch();
 }
 
 void Simulator::reset() {

@@ -57,7 +57,6 @@ bool TbfScheduler::stop_rule(const std::string& name, SimTime /*now*/) {
   std::sort(to_erase.begin(), to_erase.end());
   for (JobId job : to_erase) {
     auto& queue = queues_.at(job);
-    ++queue.heap_version;  // kill any live heap entry
     for (auto& rpc : queue.rpcs)
       fallback_.emplace_back(arrival_counter_++, rpc);
     queues_.erase(job);
@@ -95,7 +94,7 @@ TbfScheduler::Rule* TbfScheduler::classify(const Rpc& rpc) {
 
 void TbfScheduler::push_deadline(ClassQueue& q, SimTime now) {
   const SimTime deadline = q.bucket.time_for_tokens(1.0, now);
-  ++q.heap_version;
+  q.heap_version = ++heap_version_counter_;
   heap_.push(HeapEntry{deadline, q.rank, arrival_counter_++, q.heap_version,
                        q.job});
 }
@@ -116,7 +115,6 @@ void TbfScheduler::enqueue(const Rpc& rpc, SimTime now) {
     ClassQueue& queue = it->second;
     queue.rule->bound_jobs.erase(rpc.job);
     rule->bound_jobs.insert(rpc.job);
-    ++queue.heap_version;
     queue.rule = rule;
     queue.rank = rule->spec.rank;
     queue.bucket = TokenBucket(rule->spec.rate, rule->spec.depth, now,
@@ -183,7 +181,7 @@ std::optional<Rpc> TbfScheduler::dequeue(SimTime now) {
       if (!queue.rpcs.empty()) {
         push_deadline(queue, now);
       } else {
-        ++queue.heap_version;  // no live entry while queue is empty
+        queue.heap_version = 0;  // no live entry while queue is empty
       }
       return rpc;
     }

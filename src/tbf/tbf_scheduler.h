@@ -109,7 +109,10 @@ class TbfScheduler final : public RequestScheduler {
     TokenBucket bucket;
     std::deque<Rpc> rpcs;
     std::int32_t rank = 0;
-    std::uint64_t heap_version = 0;  ///< Invalidates stale heap entries.
+    /// Version of the queue's one live heap entry (0: none). Drawn from
+    /// the scheduler-wide heap_version_counter_, so a queue re-created
+    /// for the same job can never revive an entry left by its predecessor.
+    std::uint64_t heap_version = 0;
   };
 
   struct HeapEntry {
@@ -147,6 +150,7 @@ class TbfScheduler final : public RequestScheduler {
   std::size_t backlog_ = 0;
   std::uint64_t arrival_counter_ = 0;
   std::uint64_t generation_counter_ = 0;
+  std::uint64_t heap_version_counter_ = 0;
 };
 
 }  // namespace adaptbf

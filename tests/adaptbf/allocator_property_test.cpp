@@ -1,6 +1,6 @@
 // Property-based sweeps over randomized workload traces: the invariants in
-// DESIGN.md §2 must hold for *every* demand pattern, job mix and budget,
-// not just the hand-picked unit-test cases.
+// docs/paper_deviations.md must hold for *every* demand pattern, job mix
+// and budget, not just the hand-picked unit-test cases.
 #include <gtest/gtest.h>
 
 #include <cmath>

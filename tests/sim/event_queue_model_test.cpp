@@ -3,17 +3,14 @@
 // std::multimap keyed on fire time, which (since C++11) preserves insertion
 // order among equal keys, i.e. exactly the (time, sequence) contract.
 //
-// 10k mixed schedule/cancel/pop operations per seed, asserting identical
-// fire order, live() counts, and cancel() verdicts throughout. The whole
-// suite runs over the {heap, calendar} x {single-pop, batched} matrix: the
-// ordering backend and the dispatch mode must both be invisible to the
-// model. Batched rounds exercise the staged-cohort semantics, including
-// cancels and same-time schedules issued mid-batch.
+// 10k mixed schedule/cancel/batch operations per seed, asserting identical
+// fire order, live() counts, and cancel() verdicts throughout. Batch rounds
+// exercise the staged-cohort semantics, including cancels and same-time
+// schedules issued mid-batch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -28,14 +25,9 @@ struct ModelEvent {
   bool alive = false;
 };
 
-struct ModelConfig {
-  QueueBackend backend = QueueBackend::kHeap;
-  bool use_batch = false;
-};
-
-void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
+void run_model(std::uint64_t seed, int operations) {
   Xoshiro256 rng(seed);
-  EventQueue queue(config.backend);
+  EventQueue queue;
   std::multimap<std::int64_t, std::uint64_t> oracle;  // time -> token
   std::vector<ModelEvent> events;  // every event ever scheduled
   std::vector<std::uint64_t> fired;
@@ -90,12 +82,12 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
       // cancelled, so stale-handle rejection is exercised constantly.
       cancel_random(op);
       if (::testing::Test::HasFatalFailure()) return;
-    } else if (config.use_batch && roll >= 90) {
+    } else {
       // Batched drain of the earliest-time cohort. The staged batch must
       // fire exactly the oracle's equal-key run, in insertion order, while
-      // cancels and same-time schedules issued mid-batch behave exactly as
-      // they would under single pops (the simulator forbids scheduling
-      // before the current dispatch time, so mid-batch times are >= t).
+      // cancels and same-time schedules issued mid-batch take effect in
+      // (time, seq) order (the simulator forbids scheduling before the
+      // current dispatch time, so mid-batch times are >= t).
       ASSERT_FALSE(oracle.empty());
       const std::int64_t t = oracle.begin()->first;
       ASSERT_EQ(queue.pop_batch(), oracle.count(t))
@@ -113,12 +105,6 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
           schedule_one(t + static_cast<std::int64_t>(rng.next_in(0, 499)));
         }
       }
-    } else {
-      // Pop: compare against the oracle's front (begin() of the multimap).
-      ASSERT_FALSE(oracle.empty());
-      auto popped = queue.pop();
-      check_fired_front(popped, op);
-      if (::testing::Test::HasFatalFailure()) return;
     }
     ASSERT_EQ(queue.live(), oracle.size()) << "live() diverged at op " << op;
     ASSERT_EQ(queue.empty(), oracle.empty());
@@ -128,37 +114,23 @@ void run_model(std::uint64_t seed, int operations, const ModelConfig& config) {
 
   // Drain: the remaining fire order must match the oracle exactly.
   while (!oracle.empty()) {
-    const auto expected = oracle.begin();
-    auto popped = queue.pop();
-    ASSERT_EQ(popped.time.ns(), expected->first);
-    popped.fn();
-    ASSERT_EQ(fired.back(), expected->second);
-    oracle.erase(expected);
+    queue.pop_batch();
+    EventQueue::Fired out;
+    while (queue.collect_staged(out)) {
+      check_fired_front(out, operations);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
   ASSERT_TRUE(queue.empty());
 }
 
-class EventQueueModel : public ::testing::TestWithParam<ModelConfig> {};
-
-TEST_P(EventQueueModel, TenThousandMixedOperations) {
-  run_model(0x5eed, 10000, GetParam());
+TEST(EventQueueModel, TenThousandMixedOperations) {
+  run_model(0x5eed, 10000);
 }
 
-TEST_P(EventQueueModel, MoreSeeds) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed)
-    run_model(seed, 2000, GetParam());
+TEST(EventQueueModel, MoreSeeds) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) run_model(seed, 2000);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BackendMatrix, EventQueueModel,
-    ::testing::Values(ModelConfig{QueueBackend::kHeap, false},
-                      ModelConfig{QueueBackend::kHeap, true},
-                      ModelConfig{QueueBackend::kCalendar, false},
-                      ModelConfig{QueueBackend::kCalendar, true}),
-    [](const ::testing::TestParamInfo<ModelConfig>& param_info) {
-      return std::string(queue_backend_name(param_info.param.backend)) +
-             (param_info.param.use_batch ? "_batched" : "_single_pop");
-    });
 
 }  // namespace
 }  // namespace adaptbf

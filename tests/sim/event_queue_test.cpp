@@ -1,13 +1,15 @@
-// EventQueue API tests, run over both ordering backends: every observable
-// behavior (fire order, cancel verdicts, handle staleness, counts) must be
-// identical whether the structure underneath is the 4-ary heap or the
-// calendar queue. Batch staging and reset()-reuse get their own sections.
+// EventQueue API tests: fire order, cancel verdicts, handle staleness and
+// counts, then batch staging and reset()-reuse in their own sections.
+// Every test fires events the way Simulator does, through pop_batch() and
+// collect_staged().
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -17,39 +19,52 @@
 namespace adaptbf {
 namespace {
 
-class EventQueueTest : public ::testing::TestWithParam<QueueBackend> {
- protected:
-  [[nodiscard]] EventQueue make() const { return EventQueue(GetParam()); }
-};
+using Trace = std::vector<std::pair<std::int64_t, std::uint64_t>>;
 
-TEST_P(EventQueueTest, EmptyAtStart) {
-  EventQueue queue = make();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.next_time(), SimTime::max());
-  EXPECT_EQ(queue.backend(), GetParam());
+/// Fires up to `cohorts` same-time cohorts (all of them by default),
+/// running each callback, and returns the (time, seq) of every event fired
+/// in dispatch order.
+Trace drain(EventQueue& queue,
+            std::size_t cohorts = std::numeric_limits<std::size_t>::max()) {
+  Trace fired;
+  EventQueue::Fired out;
+  for (; cohorts > 0 && !queue.empty(); --cohorts) {
+    queue.pop_batch();
+    while (queue.collect_staged(out)) {
+      fired.emplace_back(out.time.ns(), out.seq);
+      out.fn();
+    }
+  }
+  return fired;
 }
 
-TEST_P(EventQueueTest, PopsInTimeOrder) {
-  EventQueue queue = make();
+TEST(EventQueue, EmptyAtStart) {
+  EventQueue queue;
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.next_time(), SimTime::max());
+}
+
+TEST(EventQueue, PopsInTimeOrder) {
+  EventQueue queue;
   std::vector<int> fired;
   queue.schedule(SimTime(30), [&] { fired.push_back(3); });
   queue.schedule(SimTime(10), [&] { fired.push_back(1); });
   queue.schedule(SimTime(20), [&] { fired.push_back(2); });
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueTest, TiesBreakByInsertionOrder) {
-  EventQueue queue = make();
+TEST(EventQueue, TiesBreakByInsertionOrder) {
+  EventQueue queue;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i)
     queue.schedule(SimTime(5), [&fired, i] { fired.push_back(i); });
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], i);
 }
 
-TEST_P(EventQueueTest, CancelPreventsFiring) {
-  EventQueue queue = make();
+TEST(EventQueue, CancelPreventsFiring) {
+  EventQueue queue;
   bool fired = false;
   const EventHandle handle = queue.schedule(SimTime(10), [&] { fired = true; });
   EXPECT_TRUE(queue.cancel(handle));
@@ -57,42 +72,42 @@ TEST_P(EventQueueTest, CancelPreventsFiring) {
   EXPECT_FALSE(fired);
 }
 
-TEST_P(EventQueueTest, CancelTwiceFails) {
-  EventQueue queue = make();
+TEST(EventQueue, CancelTwiceFails) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(10), [] {});
   EXPECT_TRUE(queue.cancel(handle));
   EXPECT_FALSE(queue.cancel(handle));
 }
 
-TEST_P(EventQueueTest, CancelAfterFireFails) {
-  EventQueue queue = make();
+TEST(EventQueue, CancelAfterFireFails) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(10), [] {});
-  queue.pop().fn();
+  drain(queue);
   EXPECT_FALSE(queue.cancel(handle));
 }
 
-TEST_P(EventQueueTest, CancelMiddleKeepsOrder) {
-  EventQueue queue = make();
+TEST(EventQueue, CancelMiddleKeepsOrder) {
+  EventQueue queue;
   std::vector<int> fired;
   queue.schedule(SimTime(1), [&] { fired.push_back(1); });
   const EventHandle handle =
       queue.schedule(SimTime(2), [&] { fired.push_back(2); });
   queue.schedule(SimTime(3), [&] { fired.push_back(3); });
   queue.cancel(handle);
-  while (!queue.empty()) queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
-TEST_P(EventQueueTest, NextTimeSkipsCancelled) {
-  EventQueue queue = make();
+TEST(EventQueue, NextTimeSkipsCancelled) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(1), [] {});
   queue.schedule(SimTime(5), [] {});
   queue.cancel(handle);
   EXPECT_EQ(queue.next_time(), SimTime(5));
 }
 
-TEST_P(EventQueueTest, LiveCountTracksCancellations) {
-  EventQueue queue = make();
+TEST(EventQueue, LiveCountTracksCancellations) {
+  EventQueue queue;
   const EventHandle a = queue.schedule(SimTime(1), [] {});
   queue.schedule(SimTime(2), [] {});
   EXPECT_EQ(queue.live(), 2u);
@@ -100,26 +115,26 @@ TEST_P(EventQueueTest, LiveCountTracksCancellations) {
   EXPECT_EQ(queue.live(), 1u);
 }
 
-TEST_P(EventQueueTest, DefaultHandleIsInvalid) {
-  EventQueue queue = make();
+TEST(EventQueue, DefaultHandleIsInvalid) {
+  EventQueue queue;
   EventHandle handle;
   EXPECT_FALSE(handle.valid());
   EXPECT_FALSE(queue.pending(handle));
   EXPECT_FALSE(queue.cancel(handle));
 }
 
-TEST_P(EventQueueTest, PendingTracksLifecycle) {
-  EventQueue queue = make();
+TEST(EventQueue, PendingTracksLifecycle) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(10), [] {});
   EXPECT_TRUE(queue.pending(handle));
-  queue.pop().fn();
+  drain(queue);
   EXPECT_FALSE(queue.pending(handle));
 }
 
-TEST_P(EventQueueTest, StaleHandleAgainstReusedSlotFails) {
-  EventQueue queue = make();
+TEST(EventQueue, StaleHandleAgainstReusedSlotFails) {
+  EventQueue queue;
   const EventHandle first = queue.schedule(SimTime(10), [] {});
-  queue.pop().fn();
+  drain(queue);
   // The pool reuses the released slot; the old handle's generation is
   // behind, so it must not cancel the new occupant.
   const EventHandle second = queue.schedule(SimTime(20), [] {});
@@ -131,65 +146,57 @@ TEST_P(EventQueueTest, StaleHandleAgainstReusedSlotFails) {
   EXPECT_TRUE(queue.cancel(second));
 }
 
-TEST_P(EventQueueTest, SequencesAssignedInScheduleOrder) {
-  EventQueue queue = make();
+TEST(EventQueue, SequencesAssignedInScheduleOrder) {
+  EventQueue queue;
   queue.schedule(SimTime(30), [] {});
   queue.schedule(SimTime(10), [] {});
   queue.schedule(SimTime(20), [] {});
-  EXPECT_EQ(queue.pop().seq, 1u);
-  EXPECT_EQ(queue.pop().seq, 2u);
-  EXPECT_EQ(queue.pop().seq, 0u);
+  EXPECT_EQ(drain(queue), (Trace{{10, 1}, {20, 2}, {30, 0}}));
 }
 
-TEST_P(EventQueueTest, StatsCountOperations) {
-  EventQueue queue = make();
+TEST(EventQueue, StatsCountOperations) {
+  EventQueue queue;
   const EventHandle handle = queue.schedule(SimTime(1), [] {});
   queue.schedule(SimTime(2), [] {});
   queue.cancel(handle);
-  queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(queue.stats().scheduled, 2u);
   EXPECT_EQ(queue.stats().cancelled, 1u);
   EXPECT_EQ(queue.stats().fired, 1u);
 }
 
-TEST_P(EventQueueTest, ReserveMakesSteadyStateAllocationFree) {
-  EventQueue queue = make();
+TEST(EventQueue, ReserveMakesSteadyStateAllocationFree) {
+  EventQueue queue;
   queue.reserve(64);
-  // One warm-up round first: the calendar's per-bucket vectors size
-  // themselves to the workload's tie pattern on first contact, which is
-  // expected one-time growth, not steady-state churn.
   const auto churn_round = [&queue] {
     std::vector<EventHandle> handles;
     for (int i = 0; i < 64; ++i)
       handles.push_back(queue.schedule(SimTime(i), [] {}));
     for (int i = 0; i < 32; ++i) queue.cancel(handles[static_cast<size_t>(i)]);
-    while (!queue.empty()) queue.pop().fn();
+    drain(queue);
   };
-  churn_round();
-  const std::uint64_t reallocations_before = queue.stats().pool_reallocations;
   // Churn far more events than the reservation, never exceeding 64 live.
-  for (int round = 0; round < 100; ++round) churn_round();
-  EXPECT_EQ(queue.stats().pool_reallocations, reallocations_before);
+  for (int round = 0; round < 101; ++round) churn_round();
+  EXPECT_EQ(queue.stats().pool_reallocations, 0u);
   EXPECT_LE(queue.pool_slots(), 64u);
 }
 
-TEST_P(EventQueueTest, OversizedCaptureStillWorksViaHeapFallback) {
-  EventQueue queue = make();
+TEST(EventQueue, OversizedCaptureStillWorksViaHeapFallback) {
+  EventQueue queue;
   // > kInlineCapacity bytes of captured state must still fire correctly.
   std::array<std::uint64_t, 32> big{};
   big[0] = 7;
   big[31] = 9;
   std::uint64_t sum = 0;
   queue.schedule(SimTime(1), [big, &sum] { sum = big[0] + big[31]; });
-  queue.pop().fn();
+  drain(queue);
   EXPECT_EQ(sum, 16u);
 }
 
-TEST_P(EventQueueTest, HeapSpillsCountedPerQueue) {
-  // The per-queue spill counter sees only this queue's oversized captures
-  // (unlike the deprecated process-wide EventCallback::heap_fallbacks()).
-  EventQueue queue = make();
-  EventQueue other(GetParam());
+TEST(EventQueue, HeapSpillsCountedPerQueue) {
+  // The spill counter sees only this queue's oversized captures.
+  EventQueue queue;
+  EventQueue other;
   std::array<std::uint64_t, 32> big{};
   queue.schedule(SimTime(1), [] {});  // inline: no spill
   EXPECT_EQ(queue.stats().callback_heap_spills, 0u);
@@ -198,8 +205,8 @@ TEST_P(EventQueueTest, HeapSpillsCountedPerQueue) {
   EXPECT_EQ(other.stats().callback_heap_spills, 0u);
 }
 
-TEST_P(EventQueueTest, CancelledCallbackStateIsReleased) {
-  EventQueue queue = make();
+TEST(EventQueue, CancelledCallbackStateIsReleased) {
+  EventQueue queue;
   auto token = std::make_shared<int>(42);
   std::weak_ptr<int> watch = token;
   const EventHandle handle = queue.schedule(SimTime(1), [token] {});
@@ -209,28 +216,23 @@ TEST_P(EventQueueTest, CancelledCallbackStateIsReleased) {
   EXPECT_TRUE(watch.expired());  // cancel destroys the captured state
 }
 
-TEST_P(EventQueueTest, StressManyRandomOrderings) {
-  EventQueue queue = make();
+TEST(EventQueue, StressManyRandomOrderings) {
+  EventQueue queue;
   std::vector<std::int64_t> fired;
   // Insert with a scrambled deterministic pattern.
   for (std::int64_t i = 0; i < 1000; ++i) {
     const std::int64_t t = (i * 7919) % 1000;
     queue.schedule(SimTime(t), [&fired, t] { fired.push_back(t); });
   }
-  SimTime last = SimTime::zero();
-  while (!queue.empty()) {
-    auto event = queue.pop();
-    EXPECT_GE(event.time, last);
-    last = event.time;
-    event.fn();
-  }
+  const Trace trace = drain(queue);
+  EXPECT_TRUE(std::is_sorted(trace.begin(), trace.end()));
   EXPECT_EQ(fired.size(), 1000u);
 }
 
 // ---------------------------------------------------------- batch staging
 
-TEST_P(EventQueueTest, PopBatchDrainsExactlyTheEarliestCohort) {
-  EventQueue queue = make();
+TEST(EventQueue, PopBatchDrainsExactlyTheEarliestCohort) {
+  EventQueue queue;
   std::vector<int> fired;
   for (int i = 0; i < 5; ++i)
     queue.schedule(SimTime(10), [&fired, i] { fired.push_back(i); });
@@ -244,8 +246,8 @@ TEST_P(EventQueueTest, PopBatchDrainsExactlyTheEarliestCohort) {
   EXPECT_EQ(queue.next_time(), SimTime(20));
 }
 
-TEST_P(EventQueueTest, PopBatchOfOneMatchesPop) {
-  EventQueue queue = make();
+TEST(EventQueue, PopBatchOfOneStagesThatEvent) {
+  EventQueue queue;
   queue.schedule(SimTime(7), [] {});
   ASSERT_EQ(queue.pop_batch(), 1u);
   EventQueue::Fired out;
@@ -256,11 +258,11 @@ TEST_P(EventQueueTest, PopBatchOfOneMatchesPop) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST_P(EventQueueTest, CancelDuringBatchPreventsStagedEventFromFiring) {
+TEST(EventQueue, CancelDuringBatchPreventsStagedEventFromFiring) {
   // An event dispatched early in a batch cancels a same-timestamp event
-  // staged behind it — the staged event must not fire, exactly as under
-  // single pops.
-  EventQueue queue = make();
+  // staged behind it — the staged event must not fire, exactly as if it
+  // were still queued.
+  EventQueue queue;
   std::vector<int> fired;
   EventHandle second;
   queue.schedule(SimTime(10), [&] {
@@ -278,11 +280,11 @@ TEST_P(EventQueueTest, CancelDuringBatchPreventsStagedEventFromFiring) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST_P(EventQueueTest, ScheduleDuringBatchJoinsTheStructureNotTheBatch) {
-  // A same-time event scheduled while collecting lands in the ordering
-  // structure (it has a later sequence number than everything staged), so
-  // it fires in the NEXT batch — the same order single pops produce.
-  EventQueue queue = make();
+TEST(EventQueue, ScheduleDuringBatchJoinsTheStructureNotTheBatch) {
+  // A same-time event scheduled while collecting lands in the heap (it has
+  // a later sequence number than everything staged), so it fires in the
+  // NEXT batch, after every staged event: plain (time, seq) order.
+  EventQueue queue;
   std::vector<int> fired;
   queue.schedule(SimTime(10), [&] {
     fired.push_back(0);
@@ -298,8 +300,8 @@ TEST_P(EventQueueTest, ScheduleDuringBatchJoinsTheStructureNotTheBatch) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 9}));
 }
 
-TEST_P(EventQueueTest, CancelledStagedCallbackStateIsReleased) {
-  EventQueue queue = make();
+TEST(EventQueue, CancelledStagedCallbackStateIsReleased) {
+  EventQueue queue;
   auto token = std::make_shared<int>(42);
   std::weak_ptr<int> watch = token;
   const EventHandle handle = queue.schedule(SimTime(1), [token] {});
@@ -315,8 +317,8 @@ TEST_P(EventQueueTest, CancelledStagedCallbackStateIsReleased) {
 
 // ----------------------------------------------------------- reset reuse
 
-TEST_P(EventQueueTest, ResetDropsPendingAndRewindsSequences) {
-  EventQueue queue = make();
+TEST(EventQueue, ResetDropsPendingAndRewindsSequences) {
+  EventQueue queue;
   bool fired = false;
   const EventHandle handle = queue.schedule(SimTime(5), [&] { fired = true; });
   queue.schedule(SimTime(6), [] {});
@@ -328,11 +330,11 @@ TEST_P(EventQueueTest, ResetDropsPendingAndRewindsSequences) {
   EXPECT_EQ(queue.stats().scheduled, 0u);
   // Sequences restart at zero, exactly like a fresh queue.
   queue.schedule(SimTime(1), [] {});
-  EXPECT_EQ(queue.pop().seq, 0u);
+  EXPECT_EQ(drain(queue), (Trace{{1, 0}}));
 }
 
-TEST_P(EventQueueTest, ResetReleasesPendingCallbackState) {
-  EventQueue queue = make();
+TEST(EventQueue, ResetReleasesPendingCallbackState) {
+  EventQueue queue;
   auto token = std::make_shared<int>(1);
   std::weak_ptr<int> watch = token;
   queue.schedule(SimTime(5), [token] {});
@@ -342,8 +344,8 @@ TEST_P(EventQueueTest, ResetReleasesPendingCallbackState) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST_P(EventQueueTest, ResetReleasesUncollectedStagedEvents) {
-  EventQueue queue = make();
+TEST(EventQueue, ResetReleasesUncollectedStagedEvents) {
+  EventQueue queue;
   auto token = std::make_shared<int>(1);
   std::weak_ptr<int> watch = token;
   queue.schedule(SimTime(5), [token] {});
@@ -357,16 +359,16 @@ TEST_P(EventQueueTest, ResetReleasesUncollectedStagedEvents) {
   EXPECT_FALSE(queue.collect_staged(out));
 }
 
-TEST_P(EventQueueTest, ResetKeepsStorageWarm) {
-  EventQueue queue = make();
+TEST(EventQueue, ResetKeepsStorageWarm) {
+  EventQueue queue;
   const auto fill_and_drain = [&queue] {
     for (int i = 0; i < 200; ++i) queue.schedule(SimTime(i % 17), [] {});
-    while (!queue.empty()) queue.pop().fn();
+    drain(queue);
   };
   fill_and_drain();
   queue.reset();
   // The second identical round must not grow any storage: the slab, the
-  // ordering structure, and the staging scratch all survived the reset.
+  // heap, and the staging scratch all survived the reset.
   fill_and_drain();
   EXPECT_EQ(queue.stats().pool_reallocations, 0u);
 }
@@ -375,25 +377,25 @@ TEST_P(EventQueueTest, ResetKeepsStorageWarm) {
 /// fresh one — the same operation sequence produces the same (time, seq)
 /// fire trace, cancel verdicts, and counts, no matter what ran before the
 /// reset.
-TEST_P(EventQueueTest, ResetQueueTracesIdenticallyToFreshQueue) {
+TEST(EventQueue, ResetQueueTracesIdenticallyToFreshQueue) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    EventQueue reused = make();
+    EventQueue reused;
     // Arbitrary pre-history, abandoned mid-flight (pending events left).
     Xoshiro256 pre(seed * 977);
     std::vector<EventHandle> pre_handles;
     for (int i = 0; i < 300; ++i) {
       pre_handles.push_back(reused.schedule(
           SimTime(static_cast<std::int64_t>(pre.next_in(0, 99))), [] {}));
-      if (pre.next_in(0, 2) == 0) reused.pop().fn();
+      if (pre.next_in(0, 2) == 0) drain(reused, 1);
       if (pre.next_in(0, 3) == 0)
         reused.cancel(pre_handles[pre.next_in(0, pre_handles.size() - 1)]);
     }
     reused.reset();
 
-    EventQueue fresh = make();
+    EventQueue fresh;
     const auto run_ops = [](EventQueue& queue, std::uint64_t op_seed) {
       // (time, seq) trace plus verdict/count observations.
-      std::vector<std::pair<std::int64_t, std::uint64_t>> trace;
+      Trace trace;
       Xoshiro256 rng(op_seed);
       std::vector<EventHandle> handles;
       for (int op = 0; op < 500; ++op) {
@@ -406,32 +408,18 @@ TEST_P(EventQueueTest, ResetQueueTracesIdenticallyToFreshQueue) {
               queue.cancel(handles[rng.next_in(0, handles.size() - 1)]);
           trace.emplace_back(-1, verdict ? 1 : 0);
         } else {
-          const auto fired = queue.pop();
-          trace.emplace_back(fired.time.ns(), fired.seq);
+          const Trace cohort = drain(queue, 1);
+          trace.insert(trace.end(), cohort.begin(), cohort.end());
         }
         trace.emplace_back(-2, queue.live());
       }
-      while (!queue.empty()) {
-        const auto fired = queue.pop();
-        trace.emplace_back(fired.time.ns(), fired.seq);
-      }
+      const Trace rest = drain(queue);
+      trace.insert(trace.end(), rest.begin(), rest.end());
       return trace;
     };
     EXPECT_EQ(run_ops(reused, seed), run_ops(fresh, seed))
         << "reset()-reuse trace diverged from fresh queue, seed " << seed;
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueTest,
-                         ::testing::Values(QueueBackend::kHeap,
-                                           QueueBackend::kCalendar),
-                         [](const ::testing::TestParamInfo<QueueBackend>& param_info) {
-                           return queue_backend_name(param_info.param);
-                         });
-
-TEST(QueueBackendName, Tokens) {
-  EXPECT_STREQ(queue_backend_name(QueueBackend::kHeap), "heap");
-  EXPECT_STREQ(queue_backend_name(QueueBackend::kCalendar), "calendar");
 }
 
 }  // namespace

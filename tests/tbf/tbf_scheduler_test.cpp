@@ -317,5 +317,24 @@ TEST(TbfScheduler, PerJobQueuesIsolateRates) {
   EXPECT_LE(job1, 10);
 }
 
+TEST(TbfScheduler, RestartedRuleNeverRevivesStaleDeadlineEntry) {
+  // Stopping a rule erases its job's queue while the queue's deadline
+  // entry (due at t=1 s) is still in the heap. The queue re-created when
+  // the rule restarts must never take that entry for its own: once it has
+  // drained, a dequeue past the old deadline finds nothing to serve.
+  TbfScheduler scheduler;
+  scheduler.start_rule(job_rule(1, 1.0, 0, 1.0));
+  scheduler.enqueue(make_rpc(1, 1), SimTime::zero());
+  scheduler.enqueue(make_rpc(1, 2), SimTime::zero());
+  EXPECT_EQ(scheduler.dequeue(SimTime::zero())->id, 1u);
+  ASSERT_TRUE(scheduler.stop_rule("job_1", SimTime::zero()));
+  scheduler.start_rule(job_rule(1, 1000.0, 0, 1.0));
+  scheduler.enqueue(make_rpc(1, 3), SimTime::zero());
+  EXPECT_EQ(scheduler.dequeue(SimTime::zero())->id, 2u);
+  EXPECT_EQ(scheduler.dequeue(SimTime::zero())->id, 3u);
+  EXPECT_FALSE(scheduler.dequeue(at_ms(2000)).has_value());
+  EXPECT_EQ(scheduler.backlog(), 0u);
+}
+
 }  // namespace
 }  // namespace adaptbf
