@@ -946,7 +946,8 @@ int main(int argc, char** argv) {
   const char* sweep_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      if (!parse_u32_arg(argv[++i], threads))
+        return bad_number(argv[0], "--threads", "a non-negative integer", argv[i]);
     } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
       csv_path = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -1066,15 +1067,7 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    JsonlTrialSink::OpenResult opened;
-    if (scan.fresh) {
-      CampaignHeader header;
-      header.sweep = sweep.name;
-      header.grid_hash = sweep_grid_hash(all_trials);
-      header.trials = all_trials.size();
-      header.shard = shard;
-      opened = JsonlTrialSink::open_fresh(journal, header);
-    } else {
+    if (!scan.fresh) {
       if (scan.truncated_tail)
         std::fprintf(stderr,
                      "resume: discarding a partial trailing line "
@@ -1084,9 +1077,11 @@ int main(int argc, char** argv) {
                      scan.corrupt_lines);
       std::fprintf(stderr, "resume: %zu/%zu trials already journaled\n",
                    scan.rows, scan.expected_rows);
-      opened = JsonlTrialSink::open_append(journal, scan.valid_bytes,
-                                           scan.missing_final_newline);
     }
+    const CampaignHeader header{sweep.name, sweep_grid_hash(all_trials),
+                                all_trials.size(), shard};
+    JsonlTrialSink::OpenResult opened =
+        JsonlTrialSink::open(journal, scan, header);
     if (!opened.ok()) {
       std::fprintf(stderr, "error: %s\n", opened.error.c_str());
       return 1;

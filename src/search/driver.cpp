@@ -89,7 +89,7 @@ struct Driver {
   ProbeExecutor& executor;
   SearchDriverOptions& options;
 
-  std::unique_ptr<SearchJournalWriter> writer;
+  std::unique_ptr<JsonlTrialSink> sink;
   std::vector<bool> rows_have;
   std::vector<TrialResult> memo;  ///< Scalars, indexed by grid index.
   std::uint32_t step_no = 0;      ///< Journaled step rows so far.
@@ -155,7 +155,7 @@ struct Driver {
           !trial_row_matches(row, trials) || row.index != needed[i])
         return "executor returned a row that does not match trial " +
                std::to_string(needed[i]);
-      writer->append_line(rows[i]);
+      sink->append_line(rows[i]);
       rows_have[row.index] = true;
       memo[row.index] = std::move(row);
       ++trials_run;
@@ -167,7 +167,7 @@ struct Driver {
   /// Journals one step row and fires telemetry + the progress callback.
   void emit_step(const SearchStepRow& row, bool replayed) {
     if (!replayed) {
-      writer->append_line(search_step_to_jsonl(row));
+      sink->append_line(search_step_to_jsonl(row));
       if (steps_metric != nullptr) steps_metric->inc();
     }
     if (bracket_metric != nullptr) bracket_metric->set(row.bracket);
@@ -245,33 +245,20 @@ SearchOutcome run_search(const SearchSpec& spec, const std::string& sweep_name,
                     "or remove it to restart";
     return outcome;
   }
-  SearchJournalWriter::OpenResult opened;
-  if (scan.fresh) {
-    CampaignHeader header;
-    header.sweep = sweep_name;
-    header.grid_hash = sweep_grid_hash(trials);
-    header.trials = trials.size();
-    header.search_step = kSearchStepVersion;
-    header.search_hash = search_hash;
-    opened = SearchJournalWriter::open_fresh(journal_path, header,
-                                             options.sink);
-    driver.rows_have.assign(trials.size(), false);
-    driver.memo.assign(trials.size(), TrialResult{});
-  } else {
-    outcome.resumed = true;
-    opened = SearchJournalWriter::open_append(journal_path, scan.valid_bytes,
-                                              scan.missing_final_newline,
-                                              options.sink);
-    driver.rows_have = scan.have;
-    driver.memo.assign(trials.size(), TrialResult{});
-    for (const TrialResult& row : scan.rows)
-      driver.memo[row.index] = row;
-  }
+  const CampaignHeader header{sweep_name, sweep_grid_hash(trials),
+                              trials.size(), ShardRef{}, kSearchStepVersion,
+                              search_hash};
+  JsonlTrialSink::OpenResult opened =
+      JsonlTrialSink::open(journal_path, scan, header, options.sink);
   if (!opened.ok()) {
     outcome.error = opened.error;
     return outcome;
   }
-  driver.writer = std::move(opened.writer);
+  driver.sink = std::move(opened.sink);
+  outcome.resumed = !scan.fresh;
+  driver.rows_have = scan.have;
+  driver.memo.assign(trials.size(), TrialResult{});
+  for (const TrialResult& row : scan.rows) driver.memo[row.index] = row;
 
   // ------------------------------------------------------------- replay
   std::unique_ptr<StepController> controller = spec.make_controller();
@@ -378,7 +365,7 @@ SearchOutcome run_search(const SearchSpec& spec, const std::string& sweep_name,
       row.bracket = controller->bracket_width();
       driver.emit_step(row, /*replayed=*/false);
     }
-    driver.writer->flush();
+    driver.sink->flush();
   }
 
   // -------------------------------------------------------- testing stage
@@ -407,7 +394,7 @@ SearchOutcome run_search(const SearchSpec& spec, const std::string& sweep_name,
     driver.emit_step(row, /*replayed=*/false);
     test_done = true;
   }
-  driver.writer->flush();
+  driver.sink->flush();
 
   // -------------------------------------------------------------- outcome
   outcome.converged = controller->done() && !controller->exhausted();

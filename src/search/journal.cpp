@@ -1,17 +1,7 @@
 #include "search/journal.h"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <stdexcept>
-#include <system_error>
-
 #include "sweep/resume.h"
 #include "support/json.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace adaptbf {
 
@@ -21,14 +11,6 @@ namespace {
 /// first key, which is unambiguous because both dialects are
 /// machine-written with fixed key order.
 constexpr std::string_view kStepPrefix = "{\"search_step\":";
-
-void sync_to_disk(std::FILE* file) {
-#if defined(__unix__) || defined(__APPLE__)
-  ::fsync(fileno(file));
-#else
-  (void)file;
-#endif
-}
 
 }  // namespace
 
@@ -118,95 +100,6 @@ bool search_step_from_jsonl(std::string_view line, SearchStepRow& out) {
   return c.done();
 }
 
-// ----------------------------------------------------- SearchJournalWriter
-
-SearchJournalWriter::SearchJournalWriter(std::FILE* file, Options options)
-    : file_(file), options_(options) {
-  if (options_.flush_every == 0) options_.flush_every = 1;
-}
-
-SearchJournalWriter::OpenResult SearchJournalWriter::open_fresh(
-    const std::string& path, const CampaignHeader& header, Options options) {
-  OpenResult result;
-  if (header.search_step == 0) {
-    result.error = "search journal header must carry the search stamp";
-    return result;
-  }
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    result.error = "cannot create '" + path + "'";
-    return result;
-  }
-  const std::string line = campaign_header_line(header) + "\n";
-  if (std::fwrite(line.data(), 1, line.size(), file) != line.size() ||
-      std::fflush(file) != 0) {
-    std::fclose(file);
-    result.error = "cannot write header to '" + path + "'";
-    return result;
-  }
-  if (options.fsync) sync_to_disk(file);
-  result.writer.reset(new SearchJournalWriter(file, options));
-  return result;
-}
-
-SearchJournalWriter::OpenResult SearchJournalWriter::open_append(
-    const std::string& path, std::uint64_t keep_bytes, bool add_newline,
-    Options options) {
-  OpenResult result;
-  std::error_code ec;
-  const auto size = std::filesystem::file_size(path, ec);
-  if (ec) {
-    result.error = "cannot stat '" + path + "': " + ec.message();
-    return result;
-  }
-  if (keep_bytes > size) {
-    result.error = "journal '" + path + "' shrank since it was scanned";
-    return result;
-  }
-  if (keep_bytes < size) {
-    // Drop a crash's partial tail so the next append starts a clean line.
-    std::filesystem::resize_file(path, keep_bytes, ec);
-    if (ec) {
-      result.error = "cannot truncate '" + path + "': " + ec.message();
-      return result;
-    }
-  }
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
-    result.error = "cannot append to '" + path + "'";
-    return result;
-  }
-  if (add_newline && std::fputc('\n', file) == EOF) {
-    std::fclose(file);
-    result.error = "cannot write to '" + path + "'";
-    return result;
-  }
-  result.writer.reset(new SearchJournalWriter(file, options));
-  return result;
-}
-
-SearchJournalWriter::~SearchJournalWriter() {
-  if (file_ != nullptr) {
-    // Destructor cannot throw; best-effort final durability point.
-    if (std::fflush(file_) == 0 && options_.fsync) sync_to_disk(file_);
-    std::fclose(file_);
-  }
-}
-
-void SearchJournalWriter::append_line(std::string_view line) {
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-      std::fputc('\n', file_) == EOF)
-    throw std::runtime_error("search journal: short write");
-  if (++pending_ >= options_.flush_every) flush();
-}
-
-void SearchJournalWriter::flush() {
-  if (std::fflush(file_) != 0)
-    throw std::runtime_error("search journal: flush failed");
-  if (options_.fsync) sync_to_disk(file_);
-  pending_ = 0;
-}
-
 // ----------------------------------------------------------------- scanner
 
 SearchScan scan_search_file(const std::string& path,
@@ -216,132 +109,60 @@ SearchScan scan_search_file(const std::string& path,
   SearchScan scan;
   scan.have.assign(trials.size(), false);
 
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
-    scan.fresh = true;
-    return scan;
-  }
-
-  const std::uint64_t expected_hash = sweep_grid_hash(trials);
-  std::uint64_t offset = 0;
-  std::uint64_t line_no = 0;
-  std::string line;
-  bool saw_header = false;
-  while (std::getline(file, line)) {
-    // getline sets eofbit only when the final line lacks its '\n'.
-    const bool has_newline = !file.eof();
-    const std::uint64_t line_end = offset + line.size() + (has_newline ? 1 : 0);
-    ++line_no;
-
-    if (!saw_header) {
-      CampaignHeader header;
-      if (!parse_campaign_header(line, header)) {
-        // Torn header: crash during the very first writeout. Only a
-        // recognizable header prefix may start fresh — an unterminated
-        // line of some unrelated file keeps the hard error.
-        constexpr std::string_view kMagic = "{\"adaptbf_sweep\":1,\"name\":";
-        const std::string_view head(line);
-        const bool header_prefix =
-            head.size() < kMagic.size()
-                ? kMagic.substr(0, head.size()) == head
-                : head.substr(0, kMagic.size()) == kMagic;
-        if (!has_newline && header_prefix) {
-          scan.fresh = true;
-          return scan;
-        }
-        scan.error = "'" + path + "' line 1: not a campaign journal";
-        return scan;
-      }
-      if (header.sweep != sweep_name) {
-        scan.error = "journal '" + path + "' line 1: belongs to sweep '" +
-                     header.sweep + "', not '" + sweep_name + "'";
-        return scan;
-      }
-      if (header.trials != trials.size() ||
-          header.grid_hash != expected_hash) {
-        scan.error = "journal '" + path +
-                     "' line 1: written for a different probe grid "
-                     "(sweep file or search ladder changed since the "
-                     "journal started?)";
-        return scan;
-      }
-      if (header.search_step == 0) {
-        scan.error = "journal '" + path +
-                     "' line 1: is a plain campaign journal, not a search "
-                     "journal; resume it with 'sweep_cli --resume'";
-        return scan;
-      }
-      if (header.search_step != kSearchStepVersion) {
-        scan.error = "journal '" + path + "' line 1: search_step format " +
-                     std::to_string(header.search_step) +
-                     " is newer than this build understands (" +
-                     std::to_string(kSearchStepVersion) + ")";
-        return scan;
-      }
-      if (header.search_hash != search_hash) {
-        scan.error = "journal '" + path +
-                     "' line 1: written for a different search "
-                     "(controller/ladder/SLO changed since the journal "
-                     "started?)";
-        return scan;
-      }
-      if (header.shard.sharded()) {
-        scan.error = "journal '" + path +
-                     "' line 1: search journals are never sharded";
-        return scan;
-      }
-      scan.header = header;
-      saw_header = true;
-      if (!has_newline) scan.missing_final_newline = true;
-      scan.valid_bytes = line_end;
-      offset = line_end;
-      continue;
+  JournalRules rules;
+  rules.grid_mismatch =
+      "probe grid (sweep file or search ladder changed since the journal "
+      "started?)";
+  rules.header = [&](const CampaignHeader& header) {
+    if (header.search_step == 0) {
+      scan.error = "journal '" + path +
+                   "' line 1: is a plain campaign journal, not a search "
+                   "journal; resume it with 'sweep_cli --resume'";
+    } else if (header.search_step != kSearchStepVersion) {
+      scan.error = "journal '" + path + "' line 1: search_step format " +
+                   std::to_string(header.search_step) +
+                   " is newer than this build understands (" +
+                   std::to_string(kSearchStepVersion) + ")";
+    } else if (header.search_hash != search_hash) {
+      scan.error = "journal '" + path +
+                   "' line 1: written for a different search "
+                   "(controller/ladder/SLO changed since the journal "
+                   "started?)";
+    } else if (header.shard.sharded()) {
+      scan.error = "journal '" + path +
+                   "' line 1: search journals are never sharded";
     }
-
-    const bool is_step =
-        std::string_view(line).substr(0, kStepPrefix.size()) == kStepPrefix;
-    bool valid = false;
-    if (is_step) {
+  };
+  rules.row = [&](std::string_view line, std::uint64_t, std::uint64_t) {
+    if (line.substr(0, kStepPrefix.size()) == kStepPrefix) {
       SearchStepRow step;
       // Step rows are dense and 1-based: the replay feeds them to the
       // controller in order, so a gap or repeat means the history itself
       // is damaged (unlike a campaign journal, where any row subset is a
       // valid resume point).
-      valid = search_step_from_jsonl(line, step) &&
-              step.step == scan.steps.size() + 1;
-      if (valid) scan.steps.push_back(step);
-    } else {
-      TrialResult row;
-      valid = trial_scalars_from_jsonl(line, row) &&
-              trial_row_matches(row, trials) && !scan.have[row.index];
-      if (valid) {
-        scan.have[row.index] = true;
-        scan.rows.push_back(std::move(row));
-      }
+      if (!search_step_from_jsonl(line, step) ||
+          step.step != scan.steps.size() + 1)
+        return false;
+      scan.steps.push_back(step);
+      return true;
     }
-    if (valid) {
-      if (!has_newline) scan.missing_final_newline = true;
-      scan.valid_bytes = line_end;
-    } else if (!has_newline) {
-      // Partial tail from a mid-write crash: discard; valid_bytes stays
-      // at the end of the last good line so open_append truncates it.
-      scan.truncated_tail = true;
-    } else {
-      // Interior garbage is unrecoverable here: the journal's byte layout
-      // is a pure function of the step history, so resuming past a torn
-      // interior line could never reproduce the uninterrupted bytes.
-      scan.error = "journal '" + path + "' line " + std::to_string(line_no) +
-                   ": corrupt row in a search journal (cannot resume; "
-                   "delete the journal to restart the search)";
-      return scan;
-    }
-    offset = line_end;
-  }
-
-  if (!saw_header) {
-    // Zero-byte file: treat like a missing one and start fresh.
-    scan.fresh = true;
-  }
+    TrialResult row;
+    if (!trial_scalars_from_jsonl(line, row) ||
+        !trial_row_matches(row, trials) || scan.have[row.index])
+      return false;
+    scan.have[row.index] = true;
+    scan.rows.push_back(std::move(row));
+    return true;
+  };
+  rules.garbage = [&](std::uint64_t line_no) {
+    // Interior garbage is unrecoverable here: the journal's byte layout
+    // is a pure function of the step history, so resuming past a torn
+    // interior line could never reproduce the uninterrupted bytes.
+    scan.error = "journal '" + path + "' line " + std::to_string(line_no) +
+                 ": corrupt row in a search journal (cannot resume; "
+                 "delete the journal to restart the search)";
+  };
+  walk_journal(path, sweep_name, trials, rules, scan);
   return scan;
 }
 

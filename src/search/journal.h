@@ -14,15 +14,17 @@
 //      re-derived — and the trial rows seed the driver's result memo so
 //      replayed scores are bit-identical to the originals.
 //
-// Crash tolerance is STRICTER than the campaign scanner's: a partial
-// tail line is discarded (and a final unterminated row kept), exactly as
-// there, but interior garbage is a hard error instead of a re-runnable
-// gap — a search journal's byte layout is a pure function of the step
-// history, so a torn interior line means the history itself is damaged.
+// The driver writes both row kinds through the campaign sink
+// (JsonlTrialSink::append_line), and the scanner reads them through the
+// shared journal walker (walk_journal, sweep/resume.h), so the crash
+// rules are the campaign journal's: a partial tail line is discarded and
+// a final unterminated row kept. Only the row policy is STRICTER:
+// interior garbage is a hard error instead of a re-runnable gap — a
+// search journal's byte layout is a pure function of the step history,
+// so a torn interior line means the history itself is damaged.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -30,6 +32,7 @@
 
 #include "search/controller.h"
 #include "search/score.h"
+#include "sweep/resume.h"
 #include "sweep/sweep_spec.h"
 #include "sweep/trial_sink.h"
 
@@ -58,62 +61,14 @@ struct SearchStepRow {
 [[nodiscard]] bool search_step_from_jsonl(std::string_view line,
                                           SearchStepRow& out);
 
-/// Append-only raw-line journal writer with the same batched-fsync
-/// durability contract as JsonlTrialSink. Lines are appended as exact
-/// bytes (the driver owns row ordering), newline added here.
-class SearchJournalWriter {
- public:
-  using Options = JsonlSinkOptions;
-  struct OpenResult {
-    std::unique_ptr<SearchJournalWriter> writer;
-    std::string error;
-    [[nodiscard]] bool ok() const { return writer != nullptr; }
-  };
-
-  /// Starts a new journal: truncates/creates `path`, writes the stamped
-  /// header (header.search_step must be non-zero).
-  [[nodiscard]] static OpenResult open_fresh(const std::string& path,
-                                             const CampaignHeader& header,
-                                             Options options = {});
-  /// Reopens for appending at the scan's valid-bytes watermark.
-  [[nodiscard]] static OpenResult open_append(const std::string& path,
-                                              std::uint64_t keep_bytes,
-                                              bool add_newline,
-                                              Options options = {});
-
-  ~SearchJournalWriter();
-  SearchJournalWriter(const SearchJournalWriter&) = delete;
-  SearchJournalWriter& operator=(const SearchJournalWriter&) = delete;
-
-  /// Appends `line` + '\n'. Throws on I/O failure.
-  void append_line(std::string_view line);
-  void flush();
-
- private:
-  SearchJournalWriter(std::FILE* file, Options options);
-  std::FILE* file_;
-  Options options_;
-  std::size_t pending_ = 0;
-};
-
 /// Result of scanning a search journal against its probe grid + spec.
-struct SearchScan {
-  std::string error;   ///< Non-empty: journal unusable for this search.
-  bool fresh = false;  ///< File absent — start a new journal.
-
-  CampaignHeader header;
+struct SearchScan : JournalTail {
   /// Step rows in journal order (the replay input).
   std::vector<SearchStepRow> steps;
   /// Scalars of every kept trial row (the driver's memo seed).
   std::vector<TrialResult> rows;
   std::vector<bool> have;  ///< Per probe-grid index: row present.
 
-  bool truncated_tail = false;
-  bool missing_final_newline = false;
-  /// Watermark for SearchJournalWriter::open_append.
-  std::uint64_t valid_bytes = 0;
-
-  [[nodiscard]] bool ok() const { return error.empty(); }
   /// A testing-stage step row was journaled: the search finished.
   [[nodiscard]] bool test_complete() const {
     return !steps.empty() && steps.back().test_stage;

@@ -800,6 +800,9 @@ struct DispatchCoordinator::Impl {
     // the completion edge, before the linger.
     release_workers();
     conns.clear();  // Conn destructors close the monitors' sockets.
+    // A worker connecting from here on would park in the accept backlog
+    // with nobody to answer it; closing refuses it instead.
+    listener.close();
     if (sink != nullptr && stats.error.empty()) {
       try {
         sink->flush();
@@ -874,6 +877,7 @@ struct DispatchCoordinator::Impl {
     }
     release_workers();
     conns.clear();
+    listener.close();  // Refuse late workers, as serve() does.
   }
 };
 
@@ -971,28 +975,17 @@ DispatchCoordinator::Open DispatchCoordinator::open(
                    "restart";
     return result;
   }
-  JsonlTrialSink::OpenResult opened;
-  if (scan.fresh) {
-    CampaignHeader header;
-    header.sweep = sweep_name;
-    header.grid_hash = impl.grid_hash;
-    header.trials = trials.size();
-    opened =
-        JsonlTrialSink::open_fresh(journal_path, header, impl.options.sink);
-    impl.have.assign(trials.size(), false);
-    impl.rows_done = 0;
-  } else {
-    opened = JsonlTrialSink::open_append(journal_path, scan.valid_bytes,
-                                         scan.missing_final_newline,
-                                         impl.options.sink);
-    impl.have = scan.have;
-    impl.rows_done = scan.rows;
-  }
+  const CampaignHeader header{sweep_name, impl.grid_hash, trials.size(),
+                              ShardRef{}};
+  JsonlTrialSink::OpenResult opened =
+      JsonlTrialSink::open(journal_path, scan, header, impl.options.sink);
   if (!opened.ok()) {
     result.error = opened.error;
     return result;
   }
   impl.sink = std::move(opened.sink);
+  impl.have = scan.have;
+  impl.rows_done = scan.rows;
 
   // Work units: the missing trials in index order, lease_size per chunk.
   std::vector<std::size_t> chunk;

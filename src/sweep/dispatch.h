@@ -48,11 +48,6 @@
 
 namespace adaptbf {
 
-/// Journal wire format generation: the value of the header's
-/// "adaptbf_sweep" key. The shard stamp (PR 3) is a backward-compatible
-/// optional extension, not a new generation.
-inline constexpr std::uint32_t kJournalFormatVersion = 1;
-
 /// Dispatch protocol generation: the value of every message's
 /// "adaptbf_dispatch" key. A coordinator rejects hellos from any other
 /// generation by name, so mixed-version fleets fail loudly at connect.
@@ -282,7 +277,8 @@ class DispatchCoordinator {
   /// (or request_stop()). Blocking; single-threaded; run it on a
   /// dedicated thread if the caller needs to do anything else. The
   /// journal is flushed before returning, so even a stopped serve leaves
-  /// a valid, resumable journal behind.
+  /// a valid, resumable journal behind. The listener is closed on return:
+  /// a worker that connects later is refused, never left waiting.
   [[nodiscard]] DispatchServeResult serve();
 
   /// Adaptive mode only. Accepts workers and leases exactly the given
@@ -296,8 +292,9 @@ class DispatchCoordinator {
       const std::vector<std::size_t>& indices,
       std::vector<std::string>& rows_out);
 
-  /// Adaptive mode only: releases the worker fleet (`done` + drain) and
-  /// keeps serving stats polls for Options::linger_s before returning.
+  /// Adaptive mode only: releases the worker fleet (`done` + drain),
+  /// keeps serving stats polls for Options::linger_s, then closes the
+  /// listener like serve() does.
   void finish();
 
   /// The coordinator's metric registry — the one the `stats` endpoint

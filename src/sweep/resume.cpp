@@ -47,24 +47,13 @@ std::uint64_t sweep_grid_hash(std::span<const TrialSpec> trials) {
   return fnv.value();
 }
 
-CampaignScan scan_campaign_file(const std::string& path,
-                                const std::string& sweep_name,
-                                std::span<const TrialSpec> trials,
-                                ShardRef shard) {
-  CampaignScan scan;
-  scan.trial_count = trials.size();
-  scan.have.assign(trials.size(), false);
-  scan.row_offset.assign(trials.size(), -1);
-  scan.row_line.assign(trials.size(), 0);
-  scan.expected_rows = 0;
-  for (const TrialSpec& trial : trials)
-    if (shard_owner(trial.index, shard.count) == shard.index)
-      ++scan.expected_rows;
-
+void walk_journal(const std::string& path, const std::string& sweep_name,
+                  std::span<const TrialSpec> trials, const JournalRules& rules,
+                  JournalTail& tail) {
   std::ifstream file(path, std::ios::binary);
   if (!file) {
-    scan.fresh = true;
-    return scan;
+    tail.fresh = true;
+    return;
   }
 
   const std::uint64_t expected_hash = sweep_grid_hash(trials);
@@ -85,117 +74,145 @@ CampaignScan scan_campaign_file(const std::string& path,
         // line must still be a recognizable prefix of a header — an
         // unterminated line of some unrelated file the user pointed
         // --output at keeps the hard error instead of getting clobbered.
-        constexpr std::string_view kMagic = "{\"adaptbf_sweep\":1,\"name\":";
-        const std::string_view head(line);
+        const std::string magic = journal_header_prefix();
         const bool header_prefix =
-            head.size() < kMagic.size()
-                ? kMagic.substr(0, head.size()) == head
-                : head.substr(0, kMagic.size()) == kMagic;
+            std::string_view(line).substr(0, magic.size()) ==
+            std::string_view(magic).substr(0, line.size());
         if (!has_newline && header_prefix) {
           // Nothing recoverable; start fresh rather than wedging every
           // future --resume on a hard error.
-          scan.fresh = true;
-          return scan;
+          tail.fresh = true;
+          return;
         }
-        scan.error = "'" + path + "' line 1: not a campaign journal";
-        return scan;
+        tail.error = "'" + path + "' line 1: not a campaign journal";
+        return;
       }
       if (header.sweep != sweep_name) {
-        scan.error = "journal '" + path + "' line 1: belongs to sweep '" +
+        tail.error = "journal '" + path + "' line 1: belongs to sweep '" +
                      header.sweep + "', not '" + sweep_name + "'";
-        return scan;
+        return;
       }
       if (header.trials != trials.size() ||
           header.grid_hash != expected_hash) {
-        scan.error = "journal '" + path +
-                     "' line 1: written for a different campaign grid "
-                     "(sweep file changed since the journal started?)";
-        return scan;
+        tail.error = "journal '" + path +
+                     "' line 1: written for a different " +
+                     std::string(rules.grid_mismatch);
+        return;
       }
-      if (header.search_step != 0) {
-        // A search journal holds only the trials its probes visited plus
-        // interleaved search_step rows; reading it as a plain campaign
-        // would re-run every unprobed trial and corrupt the step record.
-        scan.error = "journal '" + path +
-                     "' line 1: is a search journal; resume it with "
-                     "'sweep_cli search --resume'";
-        return scan;
-      }
-      if (header.shard != shard) {
-        if (!shard.sharded() && header.shard.sharded()) {
-          scan.error = "journal '" + path + "' line 1: is shard " +
-                       header.shard.str() +
-                       " of a sharded campaign; merge the full shard set "
-                       "with 'sweep_cli merge' instead of reading one slice";
-        } else if (shard.sharded() && !header.shard.sharded()) {
-          scan.error = "journal '" + path +
-                       "' line 1: is an unsharded campaign journal, but "
-                       "this run is shard " + shard.str() +
-                       "; give each shard its own --output";
-        } else {
-          scan.error = "journal '" + path + "' line 1: belongs to shard " +
-                       header.shard.str() + ", but this run is shard " +
-                       shard.str() +
-                       (header.shard.count != shard.count
-                            ? " (shard count changed since the journal "
-                              "started?)"
-                            : " (shard journals mixed up?)");
-        }
-        return scan;
-      }
-      scan.header = header;
+      rules.header(header);
+      if (!tail.ok()) return;
+      tail.header = header;
       saw_header = true;
-      if (!has_newline) scan.missing_final_newline = true;
-      scan.valid_bytes = line_end;
+      if (!has_newline) tail.missing_final_newline = true;
+      tail.valid_bytes = line_end;
       offset = line_end;
       continue;
     }
 
-    TrialResult row;
-    const bool valid =
-        trial_scalars_from_jsonl(line, row) && trial_row_matches(row, trials);
+    const bool valid = rules.row(line, offset, line_no);
+    if (!tail.ok()) return;
     if (valid) {
-      if (shard_owner(row.index, shard.count) != shard.index) {
-        // A foreign shard's row is not corruption — it parses fine — and
-        // ignoring it would let a later merge double-count the trial.
-        // Hard error, pinned to the line.
-        scan.error = "journal '" + path + "' line " +
-                     std::to_string(line_no) + ": trial " +
-                     std::to_string(row.index) + " belongs to shard " +
-                     std::to_string(shard_owner(row.index, shard.count)) +
-                     "/" + std::to_string(shard.count) +
-                     ", not this journal's shard " + shard.str() +
-                     " (shard journals mixed up? merging would "
-                     "double-count it)";
-        return scan;
-      }
-      if (!scan.have[row.index]) {
-        scan.have[row.index] = true;
-        scan.row_offset[row.index] = static_cast<std::int64_t>(offset);
-        scan.row_line[row.index] = line_no;
-        ++scan.rows;
-      } else {
-        ++scan.duplicate_rows;
-      }
-      if (!has_newline) scan.missing_final_newline = true;
-      scan.valid_bytes = line_end;
+      if (!has_newline) tail.missing_final_newline = true;
+      tail.valid_bytes = line_end;
     } else if (!has_newline) {
       // Partial tail from a mid-write crash: discard; valid_bytes stays at
       // the end of the last good line so the sink truncates it away.
-      scan.truncated_tail = true;
+      tail.truncated_tail = true;
     } else {
-      // Interior garbage: the bytes stay (truncating would drop every row
-      // after them) but the line is ignored and its trial re-run.
-      ++scan.corrupt_lines;
-      scan.valid_bytes = line_end;
+      // Interior garbage: the scanner decides. Kept bytes stay in place
+      // (truncating would drop every row after them).
+      rules.garbage(line_no);
+      if (!tail.ok()) return;
+      tail.valid_bytes = line_end;
     }
     offset = line_end;
   }
 
   if (!saw_header) {
     // Zero-byte file: treat like a missing one and start fresh.
-    scan.fresh = true;
+    tail.fresh = true;
   }
+}
+
+CampaignScan scan_campaign_file(const std::string& path,
+                                const std::string& sweep_name,
+                                std::span<const TrialSpec> trials,
+                                ShardRef shard) {
+  CampaignScan scan;
+  scan.trial_count = trials.size();
+  scan.have.assign(trials.size(), false);
+  scan.row_offset.assign(trials.size(), -1);
+  scan.row_line.assign(trials.size(), 0);
+  scan.expected_rows = 0;
+  for (const TrialSpec& trial : trials)
+    if (shard_owner(trial.index, shard.count) == shard.index)
+      ++scan.expected_rows;
+
+  JournalRules rules;
+  rules.grid_mismatch =
+      "campaign grid (sweep file changed since the journal started?)";
+  rules.header = [&](const CampaignHeader& header) {
+    if (header.search_step != 0) {
+      // A search journal holds only the trials its probes visited plus
+      // interleaved search_step rows; reading it as a plain campaign
+      // would re-run every unprobed trial and corrupt the step record.
+      scan.error = "journal '" + path +
+                   "' line 1: is a search journal; resume it with "
+                   "'sweep_cli search --resume'";
+    } else if (header.shard != shard) {
+      if (!shard.sharded() && header.shard.sharded()) {
+        scan.error = "journal '" + path + "' line 1: is shard " +
+                     header.shard.str() +
+                     " of a sharded campaign; merge the full shard set "
+                     "with 'sweep_cli merge' instead of reading one slice";
+      } else if (shard.sharded() && !header.shard.sharded()) {
+        scan.error = "journal '" + path +
+                     "' line 1: is an unsharded campaign journal, but "
+                     "this run is shard " + shard.str() +
+                     "; give each shard its own --output";
+      } else {
+        scan.error = "journal '" + path + "' line 1: belongs to shard " +
+                     header.shard.str() + ", but this run is shard " +
+                     shard.str() +
+                     (header.shard.count != shard.count
+                          ? " (shard count changed since the journal "
+                            "started?)"
+                          : " (shard journals mixed up?)");
+      }
+    }
+  };
+  rules.row = [&](std::string_view line, std::uint64_t offset,
+                  std::uint64_t line_no) {
+    TrialResult row;
+    if (!trial_scalars_from_jsonl(line, row) || !trial_row_matches(row, trials))
+      return false;
+    if (shard_owner(row.index, shard.count) != shard.index) {
+      // A foreign shard's row is not corruption — it parses fine — and
+      // ignoring it would let a later merge double-count the trial.
+      // Hard error, pinned to the line.
+      scan.error = "journal '" + path + "' line " + std::to_string(line_no) +
+                   ": trial " + std::to_string(row.index) +
+                   " belongs to shard " +
+                   std::to_string(shard_owner(row.index, shard.count)) + "/" +
+                   std::to_string(shard.count) +
+                   ", not this journal's shard " + shard.str() +
+                   " (shard journals mixed up? merging would "
+                   "double-count it)";
+      return false;
+    }
+    if (!scan.have[row.index]) {
+      scan.have[row.index] = true;
+      scan.row_offset[row.index] = static_cast<std::int64_t>(offset);
+      scan.row_line[row.index] = line_no;
+      ++scan.rows;
+    } else {
+      ++scan.duplicate_rows;
+    }
+    return true;
+  };
+  // Interior garbage: the line is ignored and its trial re-run.
+  rules.garbage = [&](std::uint64_t) { ++scan.corrupt_lines; };
+  walk_journal(path, sweep_name, trials, rules, scan);
   return scan;
 }
 

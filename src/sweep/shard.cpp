@@ -1,6 +1,7 @@
 #include "sweep/shard.h"
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -187,18 +188,16 @@ ShardMergeResult merge_shard_journals(std::span<const std::string> shard_paths,
   }
 
   // Emit: unsharded header, then every row byte-for-byte from its owning
-  // slice in trial-index order. Rows are deterministic, so the merged
-  // journal's derived CSV/JSON match a single-process campaign's exactly.
-  std::ofstream merged(merged_path, std::ios::binary);
-  if (!merged) {
-    result.error = "cannot create merged journal '" + merged_path + "'";
+  // slice in trial-index order, through the same durable sink as every
+  // other journal. Rows are deterministic, so the merged journal's
+  // derived CSV/JSON match a single-process campaign's exactly.
+  JsonlTrialSink::OpenResult merged = JsonlTrialSink::open_fresh(
+      merged_path,
+      CampaignHeader{sweep_name, grid_hash, trials.size(), ShardRef{}});
+  if (!merged.ok()) {
+    result.error = merged.error;
     return result;
   }
-  CampaignHeader header;
-  header.sweep = sweep_name;
-  header.grid_hash = grid_hash;
-  header.trials = trials.size();
-  merged << campaign_header_line(header) << '\n';
 
   std::vector<std::ifstream> slices(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
@@ -209,25 +208,26 @@ ShardMergeResult merge_shard_journals(std::span<const std::string> shard_paths,
     }
   }
   std::string line;
-  for (std::size_t index = 0; index < trials.size(); ++index) {
-    const std::uint32_t owner = shard_owner(index, shard_count);
-    std::ifstream& slice = slices[owner];
-    slice.clear();
-    slice.seekg(scans[owner].row_offset[index]);
-    if (!std::getline(slice, line)) {
-      result.error = "journal '" + by_index[owner]->path + "' line " +
-                     std::to_string(scans[owner].row_line[index]) +
-                     ": changed while merging (row for trial " +
-                     std::to_string(index) + " no longer readable)";
-      return result;
+  try {
+    for (std::size_t index = 0; index < trials.size(); ++index) {
+      const std::uint32_t owner = shard_owner(index, shard_count);
+      std::ifstream& slice = slices[owner];
+      slice.clear();
+      slice.seekg(scans[owner].row_offset[index]);
+      if (!std::getline(slice, line)) {
+        result.error = "journal '" + by_index[owner]->path + "' line " +
+                       std::to_string(scans[owner].row_line[index]) +
+                       ": changed while merging (row for trial " +
+                       std::to_string(index) + " no longer readable)";
+        return result;
+      }
+      merged.sink->append_line(line);
+      ++result.rows;
     }
-    merged << line << '\n';
-    ++result.rows;
-  }
-  merged.flush();
-  if (!merged.good()) {
-    result.error = "cannot write merged journal '" + merged_path + "'";
-    return result;
+    merged.sink->flush();
+  } catch (const std::exception& e) {
+    result.error =
+        "cannot write merged journal '" + merged_path + "': " + e.what();
   }
   return result;
 }

@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "support/json.h"
+#include "sweep/resume.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -117,10 +118,15 @@ void sync_to_disk(std::FILE* file) {
 
 }  // namespace
 
+std::string journal_header_prefix() {
+  return "{\"adaptbf_sweep\":" + std::to_string(kJournalFormatVersion) +
+         ",\"name\":";
+}
+
 std::string campaign_header_line(const CampaignHeader& header) {
   char hash[24];
   std::snprintf(hash, sizeof(hash), "%016" PRIx64, header.grid_hash);
-  std::string out = "{\"adaptbf_sweep\":1,\"name\":";
+  std::string out = journal_header_prefix();
   out += json_quote(header.sweep);
   out += ",\"grid_hash\":\"";
   out += hash;
@@ -149,7 +155,7 @@ std::string campaign_header_line(const CampaignHeader& header) {
 bool parse_campaign_header(std::string_view line, CampaignHeader& out) {
   JsonCursor c(line);
   out = CampaignHeader{};
-  if (!json_lit(c, "{\"adaptbf_sweep\":1,\"name\":") || !json_parse_string(c, out.sweep))
+  if (!json_lit(c, journal_header_prefix()) || !json_parse_string(c, out.sweep))
     return false;
   if (!json_lit(c, ",\"grid_hash\":\"") ||
       !json_parse_hash16(c, out.grid_hash))
@@ -299,6 +305,15 @@ JsonlTrialSink::OpenResult JsonlTrialSink::open_append(const std::string& path,
   return result;
 }
 
+JsonlTrialSink::OpenResult JsonlTrialSink::open(const std::string& path,
+                                                const JournalTail& tail,
+                                                const CampaignHeader& header,
+                                                Options options) {
+  if (tail.fresh) return open_fresh(path, header, options);
+  return open_append(path, tail.valid_bytes, tail.missing_final_newline,
+                     options);
+}
+
 JsonlTrialSink::~JsonlTrialSink() {
   if (file_ != nullptr) {
     // Destructor cannot throw; best-effort final durability point.
@@ -308,12 +323,16 @@ JsonlTrialSink::~JsonlTrialSink() {
 }
 
 void JsonlTrialSink::append(const TrialResult& result) {
-  const std::string line = trial_to_jsonl(result) + "\n";
-  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size())
+  append_line(trial_to_jsonl(result));
+}
+
+void JsonlTrialSink::append_line(std::string_view line) {
+  if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
+      std::fputc('\n', file_) == EOF)
     throw std::runtime_error("campaign journal: short write");
   ++rows_;
   if (rows_metric_ != nullptr) rows_metric_->inc();
-  if (bytes_metric_ != nullptr) bytes_metric_->inc(line.size());
+  if (bytes_metric_ != nullptr) bytes_metric_->inc(line.size() + 1);
   if (++pending_ >= options_.flush_every) flush();
 }
 

@@ -40,6 +40,16 @@ class TrialSink {
   virtual void flush() = 0;
 };
 
+/// Journal wire format generation: the value of the header's
+/// "adaptbf_sweep" key. The shard and search stamps are backward-compatible
+/// optional extensions, not new generations.
+inline constexpr std::uint32_t kJournalFormatVersion = 1;
+
+/// The bytes every journal header starts with: the format key, its
+/// generation and the name key. The header writer, its parser and the
+/// resume walker's torn-header rule all take the prefix from here.
+[[nodiscard]] std::string journal_header_prefix();
+
 /// First line of a campaign journal. The grid hash (resume.h) fingerprints
 /// the expanded trial list so a journal is never resumed against a
 /// different campaign. `trials` is always the FULL grid size — a shard
@@ -97,11 +107,16 @@ struct JsonlSinkOptions {
   /// Disable fsync (batched fflush only) for tests/throwaway runs.
   bool fsync = true;
   /// Optional telemetry (obs/metrics.h): rows appended, row bytes
-  /// written, fsync batches issued. Must outlive the sink.
+  /// written (newlines included), fsync batches issued. Must outlive the
+  /// sink.
   MetricRegistry* metrics = nullptr;
 };
 
-/// Append-only JSONL journal writer with batched fsync.
+struct JournalTail;
+
+/// Append-only JSONL journal writer with batched fsync. Campaign rows go
+/// through append(); the search driver writes its trial and step rows as
+/// exact bytes through append_line(). Either way a row is one line.
 class JsonlTrialSink : public TrialSink {
  public:
   using Options = JsonlSinkOptions;
@@ -125,12 +140,24 @@ class JsonlTrialSink : public TrialSink {
                                               bool add_newline,
                                               Options options = {});
 
+  /// Opens the journal a scan (resume.h) describes: open_fresh with
+  /// `header` when the scan came back fresh, otherwise open_append at the
+  /// scan's watermark. `tail` must be ok().
+  [[nodiscard]] static OpenResult open(const std::string& path,
+                                       const JournalTail& tail,
+                                       const CampaignHeader& header,
+                                       Options options = {});
+
   ~JsonlTrialSink() override;
 
   JsonlTrialSink(const JsonlTrialSink&) = delete;
   JsonlTrialSink& operator=(const JsonlTrialSink&) = delete;
 
+  /// append_line(trial_to_jsonl(result)).
   void append(const TrialResult& result) override;
+  /// Appends `line` + '\n' (the line must not contain one). Throws on
+  /// I/O failure.
+  void append_line(std::string_view line);
   void flush() override;
 
   [[nodiscard]] std::size_t rows_appended() const { return rows_; }

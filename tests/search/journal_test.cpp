@@ -1,6 +1,7 @@
 // Search journal format: step-row round trips, the stamped header, and
-// the scanner's stricter-than-campaign crash tolerance. Journals are
-// built from fabricated trial rows — no simulator runs here.
+// the scanner's stricter-than-campaign row policy. Journals are built
+// from fabricated trial rows and written through the campaign sink — no
+// simulator runs here.
 #include "search/journal.h"
 
 #include <gtest/gtest.h>
@@ -134,16 +135,16 @@ struct JournalFixture {
   /// Writes the header plus steps probing rungs 0 and 2 (one rep each).
   void write_two_steps() {
     auto opened =
-        SearchJournalWriter::open_fresh(path, header(), test_sink_options());
+        JsonlTrialSink::open_fresh(path, header(), test_sink_options());
     ASSERT_TRUE(opened.ok()) << opened.error;
     const std::uint32_t reps = spec.grid_repetitions();
-    opened.writer->append_line(trial_to_jsonl(row_for(trials[0 * reps], 80.0)));
-    opened.writer->append_line(
+    opened.sink->append_line(trial_to_jsonl(row_for(trials[0 * reps], 80.0)));
+    opened.sink->append_line(
         search_step_to_jsonl(step_row(1, 0, 100.0, 80.0)));
-    opened.writer->append_line(trial_to_jsonl(row_for(trials[2 * reps], 160.0)));
-    opened.writer->append_line(
+    opened.sink->append_line(trial_to_jsonl(row_for(trials[2 * reps], 160.0)));
+    opened.sink->append_line(
         search_step_to_jsonl(step_row(2, 2, 400.0, 160.0)));
-    opened.writer->flush();
+    opened.sink->flush();
   }
 
   [[nodiscard]] SearchScan scan() const {
@@ -382,33 +383,32 @@ TEST(SearchScan, PartialTailIsDiscardedAtTheWatermark) {
   EXPECT_TRUE(scan.missing_final_newline);
   EXPECT_EQ(scan.valid_bytes, good.size() - 1);
   EXPECT_EQ(scan.steps.size(), 2u);
+}
 
-  // Killed during the very first header write: recognizable prefix means
-  // start fresh; an unterminated unrelated file stays a hard error.
-  write_file(fx.path, good.substr(0, 12));
-  scan = fx.scan();
-  ASSERT_TRUE(scan.ok()) << scan.error;
-  EXPECT_TRUE(scan.fresh);
+TEST(SearchScan, TornHeaderStartsFreshButForeignFilesStillError) {
+  JournalFixture fx("scan_torn_header");
+
+  // A crash during the very first writeout leaves a prefix of the stamped
+  // header with no newline; every such prefix must scan as a fresh start.
+  const std::string full = campaign_header_line(fx.header());
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{12},
+                                full.size() / 2, full.size() - 1}) {
+    write_file(fx.path, full.substr(0, cut));
+    const SearchScan scan = fx.scan();
+    EXPECT_TRUE(scan.ok()) << "cut " << cut << ": " << scan.error;
+    EXPECT_TRUE(scan.fresh) << "cut " << cut;
+  }
+
+  // An unterminated line of some unrelated file is not a torn header.
   write_file(fx.path, "some other file");
-  scan = fx.scan();
+  const SearchScan scan = fx.scan();
   ASSERT_FALSE(scan.ok());
   EXPECT_NE(scan.error.find("not a campaign journal"), std::string::npos)
       << scan.error;
 }
 
-TEST(SearchJournalWriter, RequiresTheSearchStamp) {
-  JournalFixture fx("writer_stamp");
-  CampaignHeader plain = fx.header();
-  plain.search_step = 0;
-  const auto opened =
-      SearchJournalWriter::open_fresh(fx.path, plain, test_sink_options());
-  ASSERT_FALSE(opened.ok());
-  EXPECT_NE(opened.error.find("search stamp"), std::string::npos)
-      << opened.error;
-}
-
-TEST(SearchJournalWriter, AppendAtWatermarkReproducesUninterruptedBytes) {
-  JournalFixture fx("writer_append");
+TEST(SearchJournal, AppendAtWatermarkReproducesUninterruptedBytes) {
+  JournalFixture fx("journal_append");
   fx.write_two_steps();
   const std::string good = read_file(fx.path);
 
@@ -418,13 +418,13 @@ TEST(SearchJournalWriter, AppendAtWatermarkReproducesUninterruptedBytes) {
   write_file(fx.path, good.substr(0, last_line_start + 7));
   const SearchScan scan = fx.scan();
   ASSERT_TRUE(scan.ok()) << scan.error;
-  auto opened = SearchJournalWriter::open_append(fx.path, scan.valid_bytes,
-                                                 scan.missing_final_newline,
-                                                 test_sink_options());
+  ASSERT_FALSE(scan.fresh);
+  auto opened = JsonlTrialSink::open(fx.path, scan, fx.header(),
+                                     test_sink_options());
   ASSERT_TRUE(opened.ok()) << opened.error;
-  opened.writer->append_line(
+  opened.sink->append_line(
       good.substr(last_line_start, good.size() - last_line_start - 1));
-  opened.writer->flush();
+  opened.sink->flush();
   EXPECT_EQ(read_file(fx.path), good);
 }
 

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <future>
 #include <map>
 #include <sstream>
 #include <string>
@@ -972,6 +974,55 @@ TEST_F(DispatchNegative, ForgedResultRowRejected) {
   EXPECT_NE(msg.message.find("does not match the campaign grid"),
             std::string::npos)
       << msg.message;
+}
+
+// ----------------------------------------------------- after the serve
+
+/// Runs a worker against `coordinator` after it stopped serving and
+/// reports whether the worker came back within a few seconds. The
+/// coordinator is destroyed either way, which frees a parked worker.
+bool late_worker_returns(std::unique_ptr<DispatchCoordinator>& coordinator,
+                         const SweepSpec& sweep,
+                         const std::vector<TrialSpec>& trials) {
+  DispatchWorkerOptions options = worker_options();
+  options.connect_wait_s = 0.0;
+  const std::uint16_t port = coordinator->port();
+  auto late = std::async(std::launch::async, [&] {
+    return run_dispatch_worker("127.0.0.1", port, sweep.name, trials,
+                               options);
+  });
+  const bool returned =
+      late.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  coordinator.reset();
+  EXPECT_FALSE(late.get().ok());
+  return returned;
+}
+
+TEST(DispatchLifecycle, WorkersConnectingAfterTheServeAreRefused) {
+  // A worker that connects once serving is over used to park in the
+  // listener's accept backlog until the coordinator was destroyed, so a
+  // caller joining its workers first (as the search fleet test does)
+  // hung whenever one worker started late.
+  const SweepSpec sweep = small_sweep();
+  const auto trials = sweep.expand();
+  const std::string journal = testing::TempDir() + "late_worker.jsonl";
+  (void)golden_artifacts(sweep, trials, journal);
+
+  auto opened = DispatchCoordinator::open(journal, sweep.name, trials,
+                                          /*resume=*/true,
+                                          coordinator_options());
+  ASSERT_TRUE(opened.ok()) << opened.error;
+  const DispatchServeResult served = opened.coordinator->serve();
+  ASSERT_TRUE(served.complete);
+  EXPECT_TRUE(late_worker_returns(opened.coordinator, sweep, trials));
+
+  auto adaptive =
+      DispatchCoordinator::open_adaptive(sweep.name, trials,
+                                         coordinator_options());
+  ASSERT_TRUE(adaptive.ok()) << adaptive.error;
+  adaptive.coordinator->finish();
+  EXPECT_TRUE(late_worker_returns(adaptive.coordinator, sweep, trials));
+  std::remove(journal.c_str());
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace adaptbf {
 namespace {
@@ -182,6 +185,34 @@ TEST(JsonlTrialSink, WritesHeaderThenDurableRows) {
   }
   ASSERT_EQ(rows.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(rows[i].index, i);
+  std::remove(path.c_str());
+}
+
+TEST(JsonlTrialSink, AppendLineWritesExactBytesAndCountsTheNewline) {
+  const std::string path = testing::TempDir() + "sink_line.jsonl";
+  std::remove(path.c_str());
+  CampaignHeader header{"unit", 42, 1, ShardRef{}};
+  MetricRegistry metrics;
+  JsonlSinkOptions options;
+  options.fsync = false;
+  options.metrics = &metrics;
+  auto opened = JsonlTrialSink::open_fresh(path, header, options);
+  ASSERT_TRUE(opened.ok()) << opened.error;
+  // append(trial) is append_line(trial_to_jsonl(trial)): same bytes, same
+  // counters.
+  const std::string row = trial_to_jsonl(sample_trial());
+  opened.sink->append_line(row);
+  opened.sink->append(sample_trial());
+  opened.sink.reset();
+
+  std::ifstream file(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << file.rdbuf();
+  EXPECT_EQ(bytes.str(),
+            campaign_header_line(header) + "\n" + row + "\n" + row + "\n");
+  EXPECT_EQ(metrics.counter(kMetricJournalRows).value(), 2u);
+  EXPECT_EQ(metrics.counter(kMetricJournalBytes).value(),
+            2 * (row.size() + 1));
   std::remove(path.c_str());
 }
 

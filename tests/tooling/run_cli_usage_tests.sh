@@ -6,15 +6,19 @@
 # --version must advertise every subcommand including `search`, unknown
 # search flags must fail with the SEARCH-specific usage (exit 2), and a
 # sweep file carrying a [search] section must be bounced from the plain
-# run/serve paths toward `sweep_cli search` (exit 1), by name.
+# run/serve paths toward `sweep_cli search` (exit 1), by name. A
+# malformed number must fail with exit 2 on every path, never coerce.
 set -euo pipefail
 
 cli=${1:?usage: run_cli_usage_tests.sh <path-to-sweep_cli>}
 search_ini=examples/sweeps/search_campaign.ini
+paper_ini=examples/sweeps/paper_campaign.ini
 fail=0
 
 # expect <name> <want_status> <needle> -- <argv...>: run the CLI, check
-# exit status and that combined output mentions the needle.
+# exit status and that combined output mentions the needle. The needle
+# check reads a here-string: piped into `grep -q` under pipefail, the
+# writer can die of SIGPIPE once grep exits at its first match.
 expect() {
   local name=$1 want=$2 needle=$3 status=0 output
   shift 3
@@ -26,7 +30,7 @@ expect() {
     fail=1
     return 0
   fi
-  if ! printf '%s\n' "$output" | grep -qF -- "$needle"; then
+  if ! grep -qF -- "$needle" <<<"$output"; then
     echo "FAIL $name: output does not mention '$needle'" >&2
     printf '%s\n' "$output" >&2
     fail=1
@@ -66,6 +70,10 @@ expect serve-bounces-search      1 "the search IS the coordinator" \
 
 # Unknown top-level flags/subcommands still land on the global usage.
 expect global-unknown-flag       2 "usage:" -- --frobnicate
+
+# The plain run parses --threads as strictly as work and search do.
+expect run-bad-threads           2 "--threads needs a non-negative integer" \
+  -- --threads nope "$paper_ini"
 
 if [ "$fail" -eq 0 ]; then
   echo "run_cli_usage_tests: OK"

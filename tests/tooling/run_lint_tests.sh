@@ -13,6 +13,8 @@ set -euo pipefail
 lint=scripts/lint_invariants.sh
 fixtures=tests/tooling/fixtures
 fail=0
+# `grep -q` reads here-strings, never pipes: under pipefail a grep that
+# exits at its first match can SIGPIPE the writer and fail the check.
 
 if [ ! -x "$lint" ]; then
   echo "run_lint_tests: $lint not found/executable (run from repo root)" >&2
@@ -40,7 +42,7 @@ while IFS= read -r fixture; do
     fail=1
     continue
   fi
-  if ! printf '%s\n' "$output" | grep -q "$fixture"; then
+  if ! grep -q "$fixture" <<<"$output"; then
     echo "FAIL $fixture: finding does not name the offending file" >&2
     printf '%s\n' "$output" >&2
     fail=1
@@ -66,7 +68,7 @@ rules=$(grep -oE '^  scan [a-z-]+' "$lint" | awk '{print $2}' | sort -u \
 covered=$(grep -rhoE '^// lint-fixture-expect: [a-z-]+' "$fixtures/bad" \
   | sed 's|^// lint-fixture-expect: ||' | sort -u || true)
 for rule in $rules; do
-  if ! printf '%s\n' "$covered" | grep -qx "$rule"; then
+  if ! grep -qx "$rule" <<<"$covered"; then
     echo "FAIL: lint rule '$rule' has no bad fixture covering it" >&2
     fail=1
   fi
