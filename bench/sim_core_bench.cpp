@@ -1,4 +1,5 @@
-// Event-core benchmark: events/s, allocations/event, trials/s.
+// Event-core benchmark: events/s, allocations/event, trials/s,
+// allocations per RPC.
 //
 // Prints machine-readable "key value" lines on stdout (wrapped into
 // BENCH_sim_core.json by scripts/bench_to_json.sh, which CI uploads on
@@ -6,7 +7,8 @@
 // replaces global operator new/delete with counting versions, so
 // "allocations per event" is the real process-wide number, not a proxy:
 // with the pooled event slots and inline callbacks, steady-state
-// scheduling must allocate exactly nothing (enforced by
+// scheduling must allocate exactly nothing, and a warmed Static BW paper
+// trial must allocate next to nothing per RPC (both enforced by
 // --require-zero-alloc in CI).
 //
 // Usage: sim_core_bench [--events N] [--trials N] [--require-zero-alloc]
@@ -19,6 +21,7 @@
 
 #include "cluster/experiment.h"
 #include "sim/simulator.h"
+#include "support/ini.h"
 #include "workload/scenarios_paper.h"
 
 namespace {
@@ -219,59 +222,72 @@ ChurnResult bench_cancel(std::uint64_t pairs) {
 struct TrialResultStats {
   double trials_per_sec = 0.0;
   double events_per_sec = 0.0;
+  double allocs_per_rpc = 0.0;
 };
 
-TrialResultStats bench_trials(int trials) {
+/// A warmed trial's per-RPC bookkeeping is allocation-free; what remains
+/// is trial setup and geometric growth of result vectors.
+constexpr double kMaxTrialAllocsPerRpc = 0.01;
+
+TrialResultStats bench_trials(BwControl control, std::uint64_t trials) {
   // Full run_experiment trials of a paper scenario: the number every
   // campaign backend (threaded, sharded, dispatched) multiplies. Runs the
   // way a sweep worker does — one simulator reset() and reused per trial.
-  const ScenarioSpec spec = scenario_token_allocation(BwControl::kAdaptive);
+  const ScenarioSpec spec = scenario_token_allocation(control);
   Simulator sim;
   ExperimentOptions options = ExperimentOptions::without_trace();
   options.simulator = &sim;
   std::uint64_t events = 0;
+  std::uint64_t rpcs = 0;
   (void)run_experiment(spec, options);  // warm-up
+  const std::uint64_t allocations_before = allocations();
   const auto start = Clock::now();
-  for (int i = 0; i < trials; ++i) {
+  for (std::uint64_t i = 0; i < trials; ++i) {
     const auto result = run_experiment(spec, options);
     events += result.events_dispatched;
+    for (const JobSummary& job : result.jobs) rpcs += job.rpcs_completed;
   }
   const double elapsed = seconds_since(start);
+  const std::uint64_t allocation_delta = allocations() - allocations_before;
   TrialResultStats stats;
   stats.trials_per_sec = static_cast<double>(trials) / elapsed;
   stats.events_per_sec = static_cast<double>(events) / elapsed;
+  stats.allocs_per_rpc =
+      static_cast<double>(allocation_delta) / static_cast<double>(rpcs);
   return stats;
+}
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: sim_core_bench [--events N] [--trials N] "
+               "[--require-zero-alloc]\n");
+  return 2;
 }
 
 int run(int argc, char** argv) {
   std::uint64_t events = 2'000'000;
-  int trials = 8;
+  std::uint64_t trials = 8;
   bool require_zero_alloc = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      events = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_u64(argv[++i], events) || events == 0) return usage();
     } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = std::atoi(argv[++i]);
+      if (!parse_u64(argv[++i], trials) || trials == 0) return usage();
     } else if (std::strcmp(argv[i], "--require-zero-alloc") == 0) {
       require_zero_alloc = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: sim_core_bench [--events N] [--trials N] "
-                   "[--require-zero-alloc]\n");
-      return 2;
+      return usage();
     }
-  }
-  if (events == 0 || trials <= 0) {
-    std::fprintf(stderr, "sim_core_bench: --events and --trials must be > 0\n");
-    return 2;
   }
 
   const ChurnResult churn = bench_churn(events);
   const ChurnResult cancel = bench_cancel(events / 2);
   const ChurnResult storm = bench_storm(events);
-  const TrialResultStats experiment = bench_trials(trials);
+  const TrialResultStats experiment =
+      bench_trials(BwControl::kAdaptive, trials);
+  const TrialResultStats static_trial = bench_trials(BwControl::kStatic, 1);
 
-  std::printf("schema_version 3\n");
+  std::printf("schema_version 4\n");
   std::printf("events_total %llu\n", static_cast<unsigned long long>(events));
   std::printf("events_per_sec %.0f\n", churn.events_per_sec);
   std::printf("steady_allocs_per_event %.8f\n", churn.allocs_per_event);
@@ -279,23 +295,36 @@ int run(int argc, char** argv) {
   std::printf("steady_allocs_per_cancel %.8f\n", cancel.allocs_per_event);
   std::printf("storm_batched_events_per_sec %.0f\n", storm.events_per_sec);
   std::printf("storm_allocs_per_event %.8f\n", storm.allocs_per_event);
-  std::printf("experiment_trials %d\n", trials);
+  std::printf("experiment_trials %llu\n",
+              static_cast<unsigned long long>(trials));
   std::printf("trials_per_sec %.3f\n", experiment.trials_per_sec);
   std::printf("experiment_events_per_sec %.0f\n",
               experiment.events_per_sec);
+  std::printf("trial_allocs_per_rpc %.6f\n", static_trial.allocs_per_rpc);
+  std::printf("adaptive_trial_allocs_per_rpc %.6f\n",
+              experiment.allocs_per_rpc);
 
-  if (require_zero_alloc &&
-      (churn.allocs_per_event != 0.0 || cancel.allocs_per_event != 0.0 ||
-       storm.allocs_per_event != 0.0)) {
+  if (!require_zero_alloc) return 0;
+  int status = 0;
+  if (churn.allocs_per_event != 0.0 || cancel.allocs_per_event != 0.0 ||
+      storm.allocs_per_event != 0.0) {
     std::fprintf(stderr,
                  "sim_core_bench: steady-state scheduling allocated "
                  "(%.8f/event, %.8f/cancel, %.8f/storm-event) — the "
                  "allocation-free contract is broken\n",
                  churn.allocs_per_event, cancel.allocs_per_event,
                  storm.allocs_per_event);
-    return 1;
+    status = 1;
   }
-  return 0;
+  if (static_trial.allocs_per_rpc > kMaxTrialAllocsPerRpc) {
+    std::fprintf(stderr,
+                 "sim_core_bench: a warmed Static BW trial allocated "
+                 "%.6f times per RPC (limit %.2f) — the per-RPC path "
+                 "allocates again\n",
+                 static_trial.allocs_per_rpc, kMaxTrialAllocsPerRpc);
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace

@@ -19,21 +19,9 @@ void ClientSystem::attach_ost(Ost& ost) {
 ProcessStream& ClientSystem::add_process(Ost& ost,
                                          ProcessStream::Config config,
                                          std::unique_ptr<IoPattern> pattern) {
-  // The id allocator doubles as the routing registrar: every id it hands
-  // out is mapped back to the issuing process so completions can be
-  // demultiplexed. The process pointer is only known after construction,
-  // so the closure captures a slot filled in below.
-  auto route_slot = std::make_shared<ProcessStream*>(nullptr);
-  auto allocate_id = [this, route_slot]() -> std::uint64_t {
-    const std::uint64_t id = next_rpc_id_++;
-    ADAPTBF_CHECK(*route_slot != nullptr);
-    inflight_routes_.emplace(id, *route_slot);
-    return id;
-  };
-  auto process = std::make_unique<ProcessStream>(
-      sim_, ost, config, std::move(pattern), std::move(allocate_id));
-  *route_slot = process.get();
-  processes_.push_back(std::move(process));
+  const auto stream = static_cast<std::uint32_t>(processes_.size());
+  processes_.push_back(std::make_unique<ProcessStream>(
+      sim_, ost, config, std::move(pattern), next_rpc_id_, stream));
   return *processes_.back();
 }
 
@@ -57,11 +45,9 @@ SimTime ClientSystem::job_finish_time(JobId job) const {
 }
 
 void ClientSystem::route_completion(const RpcCompletion& completion) {
-  auto it = inflight_routes_.find(completion.rpc.id);
-  ADAPTBF_CHECK_MSG(it != inflight_routes_.end(),
-                    "completion for unrouted RPC id");
-  ProcessStream* process = it->second;
-  inflight_routes_.erase(it);
+  ADAPTBF_CHECK_MSG(completion.rpc.stream < processes_.size(),
+                    "completion for unrouted RPC");
+  ProcessStream* process = processes_[completion.rpc.stream].get();
   if (response_latency_ > SimDuration(0)) {
     sim_.schedule_after(response_latency_, [process, completion] {
       process->on_completion(completion);

@@ -3,12 +3,11 @@
 // One ClientSystem per experiment. It assigns processes to client nodes
 // (NIDs), provides the global RPC id counter, registers itself as a
 // completion hook on every OST, and demultiplexes completions back to the
-// issuing ProcessStream by RPC id.
+// issuing ProcessStream by the stream index each RPC carries.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "client/process_stream.h"
@@ -24,6 +23,9 @@ class ClientSystem {
   /// process learns of (and reacts to) a completion that much later.
   explicit ClientSystem(Simulator& sim,
                         SimDuration response_latency = SimDuration(0));
+  // Processes hold a reference to next_rpc_id_ and OST hooks hold `this`.
+  ClientSystem(const ClientSystem&) = delete;
+  ClientSystem& operator=(const ClientSystem&) = delete;
 
   /// Registers completion routing on an OST. Call once per OST, before any
   /// process targeting it is added.
@@ -54,9 +56,8 @@ class ClientSystem {
 
   Simulator& sim_;
   SimDuration response_latency_{0};
+  /// Indexed by Rpc::stream.
   std::vector<std::unique_ptr<ProcessStream>> processes_;
-  /// rpc id -> issuing process (entries removed on completion).
-  std::unordered_map<std::uint64_t, ProcessStream*> inflight_routes_;
   std::uint64_t next_rpc_id_ = 1;
 };
 

@@ -1,16 +1,17 @@
 #include "metrics/latency_stats.h"
 
+#include <utility>
+
 #include "support/stats.h"
 
 namespace adaptbf {
 
 void LatencyStats::record(const RpcCompletion& completion) {
-  auto& samples = samples_[completion.rpc.job];
-  samples.total_ms.push_back(completion.latency().to_seconds() * 1e3);
-  samples.queue_ms.push_back(completion.queue_delay().to_seconds() * 1e3);
+  total_ms_[completion.rpc.job].push_back(completion.latency().to_seconds() *
+                                          1e3);
 }
 
-LatencySummary LatencyStats::summarize(const std::vector<double>& values) {
+LatencySummary LatencyStats::summarize(std::vector<double> values) {
   LatencySummary summary;
   if (values.empty()) return summary;
   summary.samples = values.size();
@@ -18,41 +19,37 @@ LatencySummary LatencyStats::summarize(const std::vector<double>& values) {
   for (double v : values) stats.add(v);
   summary.mean_ms = stats.mean();
   summary.max_ms = stats.max();
-  summary.p50_ms = percentile(values, 50.0);
-  summary.p95_ms = percentile(values, 95.0);
-  summary.p99_ms = percentile(values, 99.0);
+  summary.p50_ms = select_percentile(values, 50.0);
+  summary.p95_ms = select_percentile(values, 95.0);
+  summary.p99_ms = select_percentile(values, 99.0);
   return summary;
 }
 
 LatencySummary LatencyStats::total_latency(JobId job) const {
-  auto it = samples_.find(job);
-  return it == samples_.end() ? LatencySummary{}
-                              : summarize(it->second.total_ms);
-}
-
-LatencySummary LatencyStats::queue_delay(JobId job) const {
-  auto it = samples_.find(job);
-  return it == samples_.end() ? LatencySummary{}
-                              : summarize(it->second.queue_ms);
+  auto it = total_ms_.find(job);
+  return it == total_ms_.end() ? LatencySummary{} : summarize(it->second);
 }
 
 LatencySummary LatencyStats::total_latency_all() const {
+  std::size_t total = 0;
+  for (const auto& [job, samples] : total_ms_) total += samples.size();
   std::vector<double> all;
-  for (const auto& [job, samples] : samples_)
-    all.insert(all.end(), samples.total_ms.begin(), samples.total_ms.end());
-  return summarize(all);
+  all.reserve(total);
+  for (const auto& [job, samples] : total_ms_)
+    all.insert(all.end(), samples.begin(), samples.end());
+  return summarize(std::move(all));
 }
 
 std::vector<JobId> LatencyStats::jobs() const {
   std::vector<JobId> ids;
-  ids.reserve(samples_.size());
-  for (const auto& [job, samples] : samples_) ids.push_back(job);
+  ids.reserve(total_ms_.size());
+  for (const auto& [job, samples] : total_ms_) ids.push_back(job);
   return ids;  // std::map keeps ids sorted already.
 }
 
 std::size_t LatencyStats::samples(JobId job) const {
-  auto it = samples_.find(job);
-  return it == samples_.end() ? 0 : it->second.total_ms.size();
+  auto it = total_ms_.find(job);
+  return it == total_ms_.end() ? 0 : it->second.size();
 }
 
 }  // namespace adaptbf

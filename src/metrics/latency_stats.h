@@ -4,7 +4,8 @@
 // clears than by mean bandwidth: a bursty job emitting 96 RPCs every few
 // seconds shows the same MiB/s under any policy that eventually serves it,
 // but its burst-completion latency differs wildly. This collector keeps
-// per-job queue-delay and total-latency samples and reports percentiles.
+// per-job total-latency samples (issue -> completion) and reports
+// percentiles.
 #pragma once
 
 #include <map>
@@ -33,9 +34,6 @@ class LatencyStats {
   /// Zeroed summary if the job has no samples.
   [[nodiscard]] LatencySummary total_latency(JobId job) const;
 
-  /// Percentile summary of queueing delay (issue -> service start).
-  [[nodiscard]] LatencySummary queue_delay(JobId job) const;
-
   /// Summary across all jobs.
   [[nodiscard]] LatencySummary total_latency_all() const;
 
@@ -43,16 +41,14 @@ class LatencyStats {
   [[nodiscard]] std::size_t samples(JobId job) const;
 
  private:
-  struct Samples {
-    std::vector<double> total_ms;
-    std::vector<double> queue_ms;
-  };
-  static LatencySummary summarize(const std::vector<double>& values);
+  /// Mean and max fold `values` in recording order; the percentiles are
+  /// then selected in place, so the caller's copy is the only one.
+  static LatencySummary summarize(std::vector<double> values);
 
   // Ordered map: total_latency_all() folds samples across jobs and
   // floating-point accumulation is rounding-order-sensitive — iteration
   // order must not depend on hash layout (lint: unordered-output).
-  std::map<JobId, Samples> samples_;
+  std::map<JobId, std::vector<double>> total_ms_;
 };
 
 }  // namespace adaptbf

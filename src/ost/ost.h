@@ -11,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ost/disk_model.h"
@@ -60,12 +59,15 @@ class Ost {
   [[nodiscard]] std::uint64_t completed_bytes() const {
     return completed_bytes_;
   }
-  [[nodiscard]] std::uint32_t busy_threads() const { return busy_threads_; }
+  [[nodiscard]] std::uint32_t busy_threads() const {
+    return config_.num_threads -
+           static_cast<std::uint32_t>(free_slots_.size());
+  }
 
  private:
   /// Dispatches eligible RPCs onto free threads; arms a wakeup otherwise.
   void pump();
-  void on_disk_done(std::uint64_t tag);
+  void on_disk_done(std::uint64_t slot);
 
   Simulator& sim_;
   Config config_;
@@ -75,13 +77,16 @@ class Ost {
   JobStatsTracker job_stats_;
   std::vector<CompletionHook> hooks_;
 
+  /// One slot per I/O thread; the slot index is the RPC's PsDisk tag.
   struct InService {
     Rpc rpc;
     SimTime start_service;
+    bool busy = false;
   };
-  std::unordered_map<std::uint64_t, InService> in_service_;
+  std::vector<InService> slots_;
+  /// Indices of idle slots in slots_ (a stack).
+  std::vector<std::uint32_t> free_slots_;
 
-  std::uint32_t busy_threads_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t completed_bytes_ = 0;
   /// Pending scheduler wakeup; goes stale automatically once it fires, so

@@ -1,8 +1,8 @@
 #include "ost/ps_disk.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
-#include <vector>
 
 #include "support/check.h"
 
@@ -24,7 +24,7 @@ void PsDisk::advance_to(SimTime now) {
   if (!active_.empty() && now > last_update_) {
     const double share = bandwidth_ * (now - last_update_).to_seconds() /
                          static_cast<double>(active_.size());
-    for (auto& [tag, transfer] : active_) {
+    for (Transfer& transfer : active_) {
       const double progressed = std::min(transfer.remaining, share);
       transfer.remaining -= progressed;
       work_completed_ += progressed;
@@ -37,7 +37,7 @@ void PsDisk::arm_completion() {
   sim_.cancel(pending_event_);  // no-op when unarmed or already fired
   if (active_.empty()) return;
   double min_remaining = -1.0;
-  for (const auto& [tag, transfer] : active_)
+  for (const Transfer& transfer : active_)
     if (min_remaining < 0.0 || transfer.remaining < min_remaining)
       min_remaining = transfer.remaining;
   const double wait_sec = std::max(0.0, min_remaining) *
@@ -49,31 +49,36 @@ void PsDisk::arm_completion() {
 
 void PsDisk::on_completion() {
   advance_to(sim_.now());
-  // Collect everything done; ties resolve in admission order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> done;  // (seq, tag)
-  for (const auto& [tag, transfer] : active_)
-    if (transfer.remaining <= kCompletionSlack)
-      done.emplace_back(transfer.admit_seq, tag);
-  std::sort(done.begin(), done.end());
-  std::vector<std::pair<std::uint64_t, DoneFn>> callbacks;
-  callbacks.reserve(done.size());
-  for (const auto& [seq, tag] : done) {
-    auto it = active_.find(tag);
-    work_completed_ += it->second.remaining;  // count the slack
-    callbacks.emplace_back(tag, std::move(it->second.done));
-    active_.erase(it);
+  // Move everything done to finished_ and compact the rest in place; both
+  // keep admission order, so ties complete in the order they were admitted.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    Transfer& transfer = active_[i];
+    if (transfer.remaining <= kCompletionSlack) {
+      work_completed_ += transfer.remaining;  // count the slack
+      finished_.push_back(std::move(transfer));
+    } else {
+      if (kept != i) active_[kept] = std::move(transfer);
+      ++kept;
+    }
   }
+  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(kept),
+                active_.end());
   // Re-arm before running callbacks: callbacks typically admit new work,
   // and admit() re-arms again with the updated active set.
   arm_completion();
-  for (auto& [tag, fn] : callbacks) fn(tag);
+  for (Transfer& transfer : finished_) transfer.done(transfer.tag);
+  finished_.clear();
 }
 
 void PsDisk::admit(std::uint64_t tag, double work_bytes, DoneFn done) {
   ADAPTBF_CHECK_MSG(work_bytes > 0.0, "transfer work must be positive");
-  ADAPTBF_CHECK_MSG(!active_.contains(tag), "duplicate active transfer tag");
+  ADAPTBF_CHECK_MSG(
+      std::none_of(active_.begin(), active_.end(),
+                   [tag](const Transfer& t) { return t.tag == tag; }),
+      "duplicate active transfer tag");
   advance_to(sim_.now());
-  active_.emplace(tag, Transfer{work_bytes, admit_counter_++, std::move(done)});
+  active_.push_back(Transfer{tag, work_bytes, std::move(done)});
   arm_completion();
 }
 

@@ -10,7 +10,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <vector>
 
 #include "sim/simulator.h"
 
@@ -24,7 +24,8 @@ class PsDisk {
   PsDisk(Simulator& sim, double bandwidth);
 
   /// Admits a transfer of `work_bytes` (> 0); `done` fires at completion.
-  /// `tag` must be unique among active transfers.
+  /// `tag` is any value unique among active transfers; it is handed back
+  /// to `done` and plays no part in ordering.
   void admit(std::uint64_t tag, double work_bytes, DoneFn done);
 
   [[nodiscard]] std::size_t active() const { return active_.size(); }
@@ -35,8 +36,8 @@ class PsDisk {
 
  private:
   struct Transfer {
+    std::uint64_t tag;
     double remaining;
-    std::uint64_t admit_seq;
     DoneFn done;
   };
 
@@ -49,11 +50,15 @@ class PsDisk {
   Simulator& sim_;
   double bandwidth_;
   double work_completed_ = 0.0;
-  std::map<std::uint64_t, Transfer> active_;  // ordered => deterministic scan
+  /// Active transfers in admission order, the completion tie-break. The
+  /// OST bounds them by its thread count, so scans stay short and the
+  /// vector stops growing once warm.
+  std::vector<Transfer> active_;
+  /// on_completion()'s finished transfers; a member so it keeps capacity.
+  std::vector<Transfer> finished_;
   SimTime last_update_;
   /// Armed completion event; stale (and safely cancellable) once fired.
   EventHandle pending_event_;
-  std::uint64_t admit_counter_ = 0;
 };
 
 }  // namespace adaptbf

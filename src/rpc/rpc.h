@@ -67,7 +67,13 @@ struct Rpc {
   std::uint32_t size_bytes = 0;  ///< Bulk payload size (1 MiB typical).
   SimTime issue_time;            ///< When the client handed it to the server.
   std::uint32_t process = 0;     ///< Issuing process index within the job.
+  /// Issuing process's index in its ClientSystem, which routes the
+  /// completion back by it.
+  std::uint32_t stream = 0;
 };
+// Event callbacks capture Rpcs and RpcCompletions by value; at 40 bytes
+// every such capture fits EventCallback's inline buffer (no heap spill).
+static_assert(sizeof(Rpc) <= 40);
 
 /// Completion record the OST reports to metrics and back to the client.
 struct RpcCompletion {
@@ -75,9 +81,6 @@ struct RpcCompletion {
   SimTime start_service;  ///< When an I/O thread picked it up.
   SimTime end_service;    ///< When the bulk transfer finished.
 
-  [[nodiscard]] SimDuration queue_delay() const {
-    return start_service - rpc.issue_time;
-  }
   [[nodiscard]] SimDuration service_time() const {
     return end_service - start_service;
   }

@@ -52,17 +52,27 @@ void StreamingStats::merge(const StreamingStats& other) {
 }
 
 double percentile(std::span<const double> values, double q) {
+  std::vector<double> copy(values.begin(), values.end());
+  return select_percentile(copy, q);
+}
+
+double select_percentile(std::span<double> values, double q) {
   ADAPTBF_CHECK(!values.empty());
   ADAPTBF_CHECK(q >= 0.0 && q <= 100.0);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double rank =
-      q / 100.0 * static_cast<double>(sorted.size() - 1);
+  if (values.size() == 1) return values.front();
+  const double rank = q / 100.0 * static_cast<double>(values.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  // After nth_element, position lo holds the sorted order's lo-th value
+  // and everything after it is >= that value, so the sorted order's
+  // (lo+1)-th value is the minimum of that upper partition.
+  const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), nth, values.end());
+  const double lo_value = *nth;
+  const double hi_value =
+      hi == lo ? lo_value : *std::min_element(nth + 1, values.end());
+  return lo_value + frac * (hi_value - lo_value);
 }
 
 double jain_fairness(std::span<const double> values) {

@@ -39,6 +39,11 @@ class StreamingStats {
 /// `q` in [0, 100]. The input span is copied; the original is not reordered.
 [[nodiscard]] double percentile(std::span<const double> values, double q);
 
+/// percentile() computed in place by selection instead of a sort: the
+/// value a full sort gives, bit for bit (NaN-free input), in O(n).
+/// Reorders `values`; repeated calls on one span, for any q, stay exact.
+[[nodiscard]] double select_percentile(std::span<double> values, double q);
+
 /// Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1]; 1 = all equal.
 /// Degenerate inputs (empty, or all-zero shares) return 1.0 — equal by
 /// vacuity — so trial summaries never abort on jobless scenarios.

@@ -6,8 +6,7 @@
 // bandwidth-hogging problem that motivates the paper).
 #pragma once
 
-#include <deque>
-
+#include "support/ring_fifo.h"
 #include "tbf/scheduler.h"
 
 namespace adaptbf {
@@ -20,7 +19,7 @@ class FcfsScheduler final : public RequestScheduler {
   [[nodiscard]] std::size_t backlog() const override { return queue_.size(); }
 
  private:
-  std::deque<Rpc> queue_;
+  RingFifo<Rpc> queue_;
 };
 
 }  // namespace adaptbf

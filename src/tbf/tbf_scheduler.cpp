@@ -57,8 +57,8 @@ bool TbfScheduler::stop_rule(const std::string& name, SimTime /*now*/) {
   std::sort(to_erase.begin(), to_erase.end());
   for (JobId job : to_erase) {
     auto& queue = queues_.at(job);
-    for (auto& rpc : queue.rpcs)
-      fallback_.emplace_back(arrival_counter_++, rpc);
+    for (; !queue.rpcs.empty(); queue.rpcs.pop_front())
+      fallback_.push_back({arrival_counter_++, queue.rpcs.front()});
     queues_.erase(job);
   }
   rules_by_name_.erase(name);
@@ -102,7 +102,7 @@ void TbfScheduler::push_deadline(ClassQueue& q, SimTime now) {
 void TbfScheduler::enqueue(const Rpc& rpc, SimTime now) {
   Rule* rule = classify(rpc);
   if (rule == nullptr) {
-    fallback_.emplace_back(arrival_counter_++, rpc);
+    fallback_.push_back({arrival_counter_++, rpc});
     ++backlog_;
     return;
   }

@@ -20,14 +20,15 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "support/ring_fifo.h"
 #include "tbf/rule.h"
 #include "tbf/scheduler.h"
 #include "tbf/token_bucket.h"
@@ -107,7 +108,7 @@ class TbfScheduler final : public RequestScheduler {
     /// erases every bound queue before destroying the rule.
     Rule* rule = nullptr;
     TokenBucket bucket;
-    std::deque<Rpc> rpcs;
+    RingFifo<Rpc> rpcs;
     std::int32_t rank = 0;
     /// Version of the queue's one live heap entry (0: none). Drawn from
     /// the scheduler-wide heap_version_counter_, so a queue re-created
@@ -144,7 +145,7 @@ class TbfScheduler final : public RequestScheduler {
   /// Lustre, where the default/fallback queue participates in scheduling.
   /// Otherwise a saturated rule set (Σ rates ≈ device rate) would starve
   /// fallback RPCs forever, deadlocking closed-loop clients.
-  std::deque<std::pair<std::uint64_t, Rpc>> fallback_;
+  RingFifo<std::pair<std::uint64_t, Rpc>> fallback_;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
       heap_;
   std::size_t backlog_ = 0;

@@ -115,6 +115,43 @@ TEST(ClientSystem, RoutesCompletionsAcrossProcesses) {
   EXPECT_TRUE(clients.all_finished());
 }
 
+// Completions route back by the issuing process, not by job or OST: job 1
+// runs one process on each OST, job 2 shares the first OST, and every
+// completion crosses a response latency before it reaches its process.
+TEST(ClientSystem, RoutesOneJobsProcessesAcrossOsts) {
+  Simulator sim;
+  Ost first(sim, fast_ost(), std::make_unique<FcfsScheduler>());
+  Ost second(sim, fast_ost(), std::make_unique<FcfsScheduler>());
+  ClientSystem clients(sim, SimDuration::millis(2));
+  clients.attach_ost(first);
+  clients.attach_ost(second);
+  auto second_process = process_config(1, 3);
+  second_process.process_index = 1;
+  auto& job1_first = clients.add_process(
+      first, process_config(1, 3),
+      std::make_unique<ContinuousPattern>(30, SimDuration(0)));
+  auto& job1_second = clients.add_process(
+      second, second_process,
+      std::make_unique<ContinuousPattern>(50, SimDuration(0)));
+  auto& job2 = clients.add_process(
+      first, process_config(2, 3),
+      std::make_unique<ContinuousPattern>(20, SimDuration(0)));
+  clients.start_all();
+  sim.run_to_completion();
+
+  EXPECT_EQ(job1_first.issued(), 30u);
+  EXPECT_EQ(job1_first.completed(), 30u);
+  EXPECT_EQ(job1_second.issued(), 50u);
+  EXPECT_EQ(job1_second.completed(), 50u);
+  EXPECT_EQ(job2.issued(), 20u);
+  EXPECT_EQ(job2.completed(), 20u);
+  for (const ProcessStream* process : {&job1_first, &job1_second, &job2})
+    EXPECT_EQ(process->inflight(), 0u);
+  EXPECT_TRUE(clients.all_finished());
+  EXPECT_EQ(first.completed_rpcs(), 50u);
+  EXPECT_EQ(second.completed_rpcs(), 50u);
+}
+
 TEST(ClientSystem, JobFinishTimeIsLastProcess) {
   Simulator sim;
   Ost ost(sim, fast_ost(), std::make_unique<FcfsScheduler>());

@@ -73,6 +73,24 @@ TEST(PsDisk, TiesCompleteInAdmissionOrder) {
     EXPECT_EQ(order[i], 10 - i);
 }
 
+// A transfer finishing first must not reorder the survivors: after tag 10
+// completes, 40, 30 and 20 tie and complete in admission order. Removing
+// 10 by swapping in the last entry would give 40, 20, 30; scanning in tag
+// order would give 20, 30, 40.
+TEST(PsDisk, TiesAfterAnEarlierCompletionKeepAdmissionOrder) {
+  Simulator sim;
+  PsDisk disk(sim, 300.0);
+  std::vector<std::uint64_t> order;
+  const auto record = [&order](std::uint64_t tag) { order.push_back(tag); };
+  disk.admit(40, 300.0, record);
+  disk.admit(10, 100.0, record);
+  disk.admit(30, 300.0, record);
+  disk.admit(20, 300.0, record);
+  sim.run_to_completion();
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{10, 40, 30, 20}));
+  EXPECT_EQ(disk.active(), 0u);
+}
+
 TEST(PsDisk, WorkConservation) {
   Simulator sim;
   PsDisk disk(sim, 1000.0);

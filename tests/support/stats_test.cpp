@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "support/random.h"
@@ -156,6 +158,35 @@ TEST(Percentile, DoesNotMutateInput) {
   EXPECT_EQ(v[0], 5.0);
   EXPECT_EQ(v[1], 1.0);
   EXPECT_EQ(v[2], 3.0);
+}
+
+// Selection must return what a full sort returns, bit for bit, even when
+// several ranks are selected one after another on the same buffer.
+TEST(SelectPercentile, RepeatedSelectionsMatchSortBitwise) {
+  Xoshiro256 rng(0x9e1ec7);
+  const std::vector<double> qs{99.0, 0.0, 50.0, 12.5, 95.0, 100.0, 99.9, 1.0};
+  for (int round = 0; round < 200; ++round) {
+    std::vector<double> values(rng.next_in(1, 70));
+    for (double& v : values)
+      v = static_cast<double>(rng.next_in(0, 9)) / 3.0;  // many duplicates
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : qs) {
+      double expected = sorted.front();
+      if (sorted.size() > 1) {
+        const double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
+        const auto lo = static_cast<std::size_t>(rank);
+        const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+        const double frac = rank - static_cast<double>(lo);
+        expected = sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(select_percentile(values, q)),
+                std::bit_cast<std::uint64_t>(expected))
+          << "n=" << values.size() << " q=" << q;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(sorted, q)),
+                std::bit_cast<std::uint64_t>(expected));
+    }
+  }
 }
 
 TEST(JainFairness, AllEqualIsOne) {

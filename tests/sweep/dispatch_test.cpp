@@ -325,6 +325,20 @@ TEST(DispatchEquivalence, TwoWorkersMatchSingleProcessByteForByte) {
   const std::uint16_t port = opened.coordinator->port();
   ServeThread serving(*opened.coordinator);
 
+  // The campaign takes a few milliseconds, so a worker thread that starts
+  // late could find it already finished. Each finished trial waits until
+  // the coordinator has welcomed both workers; the wait is bounded, so a
+  // worker that never arrives fails the workers_seen check, not the run.
+  const Counter& workers_seen =
+      opened.coordinator->registry().counter(kMetricDispatchWorkersSeen);
+  const auto wait_for_both_workers = [&workers_seen](const TrialResult&) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (workers_seen.value() < 2 &&
+           std::chrono::steady_clock::now() < give_up)
+      std::this_thread::yield();
+  };
+
   const std::string worker_journal =
       testing::TempDir() + "dispatch_2w.worker0.jsonl";
   std::remove(worker_journal.c_str());
@@ -333,6 +347,7 @@ TEST(DispatchEquivalence, TwoWorkersMatchSingleProcessByteForByte) {
   for (int w = 0; w < 2; ++w) {
     workers[w] = std::thread([&, w] {
       DispatchWorkerOptions options = worker_options();
+      options.on_trial_done = wait_for_both_workers;
       if (w == 0) options.journal_path = worker_journal;  // local cache
       results[w] = run_dispatch_worker("127.0.0.1", port, sweep.name, trials,
                                        options);
