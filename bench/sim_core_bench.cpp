@@ -7,9 +7,10 @@
 // replaces global operator new/delete with counting versions, so
 // "allocations per event" is the real process-wide number, not a proxy:
 // with the pooled event slots and inline callbacks, steady-state
-// scheduling must allocate exactly nothing, and a warmed Static BW paper
-// trial must allocate next to nothing per RPC (both enforced by
-// --require-zero-alloc in CI).
+// scheduling must allocate exactly nothing, a warmed Static BW paper
+// trial must allocate next to nothing per RPC, and an AdapTBF trial may
+// add only its per-window work (all enforced by --require-zero-alloc in
+// CI).
 //
 // Usage: sim_core_bench [--events N] [--trials N] [--require-zero-alloc]
 #include <atomic>
@@ -228,6 +229,10 @@ struct TrialResultStats {
 /// A warmed trial's per-RPC bookkeeping is allocation-free; what remains
 /// is trial setup and geometric growth of result vectors.
 constexpr double kMaxTrialAllocsPerRpc = 0.01;
+/// AdapTBF trials add the controller's per-window vectors (stats snapshot,
+/// allocator inputs, window result) and rule starts: 0.026 per RPC on
+/// the token-allocation scenario, gated with headroom.
+constexpr double kMaxAdaptiveTrialAllocsPerRpc = 0.04;
 
 TrialResultStats bench_trials(BwControl control, std::uint64_t trials) {
   // Full run_experiment trials of a paper scenario: the number every
@@ -322,6 +327,14 @@ int run(int argc, char** argv) {
                  "%.6f times per RPC (limit %.2f) — the per-RPC path "
                  "allocates again\n",
                  static_trial.allocs_per_rpc, kMaxTrialAllocsPerRpc);
+    status = 1;
+  }
+  if (experiment.allocs_per_rpc > kMaxAdaptiveTrialAllocsPerRpc) {
+    std::fprintf(stderr,
+                 "sim_core_bench: AdapTBF trials allocated %.6f times per "
+                 "RPC (limit %.2f) — the per-window control path "
+                 "allocates more again\n",
+                 experiment.allocs_per_rpc, kMaxAdaptiveTrialAllocsPerRpc);
     status = 1;
   }
   return status;

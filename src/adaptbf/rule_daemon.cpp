@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "support/check.h"
 #include "support/log.h"
@@ -27,48 +26,47 @@ std::int32_t rank_from_priority(double priority) {
 }  // namespace
 
 void RuleDaemon::apply(const WindowResult& window, SimTime now) {
-  // Stop rules for jobs absent from this window's active set.
-  std::unordered_set<std::string> desired;
-  desired.reserve(window.jobs.size());
-  for (const auto& j : window.jobs) desired.insert(rule_name(j.job));
-  for (const std::string& name : scheduler_.active_rules()) {
-    auto owned = owned_rules_.find(name);
-    if (owned == owned_rules_.end()) continue;  // not ours
-    if (desired.contains(name)) continue;
+  // Stop rules for jobs absent from this window's active set, in ascending
+  // JobId order.
+  for (OwnedRule& owned : owned_rules_.values()) owned.in_window = false;
+  for (const auto& j : window.jobs)
+    if (OwnedRule* owned = owned_rules_.find(j.job)) owned->in_window = true;
+  owned_rules_.erase_if([&](JobId job, const OwnedRule& owned) {
+    if (owned.in_window) return false;
     // A job with no arrivals this window but RPCs still queued is merely
     // throttled, not gone: stopping its rule would release the backlog
     // unthrottled through the fallback path and invert the priorities the
     // rule exists to enforce. Keep the rule (at its last rate) until the
     // queue drains.
-    if (scheduler_.queue_backlog(owned->second) > 0) continue;
-    scheduler_.stop_rule(name, now);
-    owned_rules_.erase(owned);
+    if (scheduler_.queue_backlog(job) > 0) return false;
+    if (!scheduler_.stop_rule(owned.name, now)) return true;  // gone already
     ++stopped_;
     ADAPTBF_LOG_INFO("rule-daemon", "stopped %s (job inactive)",
-                     name.c_str());
-  }
+                     owned.name.c_str());
+    return true;
+  });
 
   // Start or re-rate a rule per active job.
   for (const auto& j : window.jobs) {
-    const std::string name = rule_name(j.job);
+    const OwnedRule* owned = owned_rules_.find(j.job);
+    const std::string name = owned != nullptr ? owned->name : rule_name(j.job);
     const double rate = std::max(config_.min_rate, j.rate);
     const std::int32_t rank = rank_from_priority(j.priority);
-    if (scheduler_.has_rule(name)) {
-      scheduler_.change_rule(name, rate, rank, now);
+    if (scheduler_.change_rule(name, rate, rank, now)) {
       ++changed_;
-    } else {
-      RuleSpec spec;
-      spec.name = name;
-      spec.matcher = RpcMatcher::for_job(j.job);
-      spec.rate = rate;
-      spec.depth = config_.depth;
-      spec.rank = rank;
-      scheduler_.start_rule(spec);
-      owned_rules_.emplace(name, j.job);
-      ++started_;
-      ADAPTBF_LOG_INFO("rule-daemon", "started %s rate=%.1f rank=%d",
-                       name.c_str(), rate, rank);
+      continue;
     }
+    RuleSpec spec;
+    spec.name = name;
+    spec.matcher = RpcMatcher::for_job(j.job);
+    spec.rate = rate;
+    spec.depth = config_.depth;
+    spec.rank = rank;
+    scheduler_.start_rule(spec);
+    if (owned == nullptr) owned_rules_[j.job].name = name;
+    ++started_;
+    ADAPTBF_LOG_INFO("rule-daemon", "started %s rate=%.1f rank=%d",
+                     name.c_str(), rate, rank);
   }
 }
 

@@ -11,9 +11,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "adaptbf/allocation_types.h"
+#include "support/flat_map.h"
 #include "tbf/tbf_scheduler.h"
 
 namespace adaptbf {
@@ -42,11 +42,16 @@ class RuleDaemon {
   [[nodiscard]] std::string rule_name(JobId job) const;
 
  private:
+  struct OwnedRule {
+    std::string name;
+    bool in_window = false;  ///< Scratch for apply(): the job is active.
+  };
+
   TbfScheduler& scheduler_;
   RuleDaemonConfig config_;
-  /// Rules this daemon started, mapped to their job. Needed to consult the
-  /// job's queue backlog before stopping (see apply()).
-  std::unordered_map<std::string, JobId> owned_rules_;
+  /// Rules this daemon started, by job. Keyed by job to consult the job's
+  /// queue backlog before stopping (see apply()).
+  FlatMap<JobId, OwnedRule> owned_rules_;
   std::uint64_t started_ = 0;
   std::uint64_t changed_ = 0;
   std::uint64_t stopped_ = 0;

@@ -26,11 +26,12 @@
 // largest-remainder fix decrements the job with the *smallest* remainder.
 #pragma once
 
-#include <map>
 #include <span>
+#include <vector>
 
 #include "adaptbf/allocation_types.h"
 #include "sim/time.h"
+#include "support/flat_map.h"
 
 namespace adaptbf {
 
@@ -102,8 +103,16 @@ class TokenAllocator {
   };
 
   AllocatorConfig config_;
-  std::map<JobId, JobState> state_;  // ordered: deterministic iteration
+  FlatMap<JobId, JobState> state_;  // ascending JobId: deterministic
   double budget_carry_ = 0.0;  ///< Fractional part of the window budget.
+
+  // Per-window scratch, kept to reuse its capacity. slots_[i] indexes
+  // state_ for the window's i-th job in ascending JobId order.
+  std::vector<JobWindowInput> inputs_;
+  std::vector<std::size_t> slots_;
+  std::vector<std::size_t> lenders_;    // J_+, indices into the window
+  std::vector<std::size_t> borrowers_;  // J_-
+  std::vector<JobAllocation*> order_;   // largest-remainder pass
 };
 
 }  // namespace adaptbf

@@ -26,30 +26,27 @@ LatencySummary LatencyStats::summarize(std::vector<double> values) {
 }
 
 LatencySummary LatencyStats::total_latency(JobId job) const {
-  auto it = total_ms_.find(job);
-  return it == total_ms_.end() ? LatencySummary{} : summarize(it->second);
+  const std::vector<double>* samples = total_ms_.find(job);
+  return samples == nullptr ? LatencySummary{} : summarize(*samples);
 }
 
 LatencySummary LatencyStats::total_latency_all() const {
   std::size_t total = 0;
-  for (const auto& [job, samples] : total_ms_) total += samples.size();
+  for (const auto& samples : total_ms_.values()) total += samples.size();
   std::vector<double> all;
   all.reserve(total);
-  for (const auto& [job, samples] : total_ms_)
+  for (const auto& samples : total_ms_.values())
     all.insert(all.end(), samples.begin(), samples.end());
   return summarize(std::move(all));
 }
 
 std::vector<JobId> LatencyStats::jobs() const {
-  std::vector<JobId> ids;
-  ids.reserve(total_ms_.size());
-  for (const auto& [job, samples] : total_ms_) ids.push_back(job);
-  return ids;  // std::map keeps ids sorted already.
+  return {total_ms_.keys().begin(), total_ms_.keys().end()};  // ascending
 }
 
 std::size_t LatencyStats::samples(JobId job) const {
-  auto it = total_ms_.find(job);
-  return it == total_ms_.end() ? 0 : it->second.size();
+  const std::vector<double>* samples = total_ms_.find(job);
+  return samples == nullptr ? 0 : samples->size();
 }
 
 }  // namespace adaptbf

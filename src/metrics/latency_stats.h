@@ -8,11 +8,11 @@
 // percentiles.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "rpc/rpc.h"
 #include "sim/time.h"
+#include "support/flat_map.h"
 
 namespace adaptbf {
 
@@ -45,10 +45,10 @@ class LatencyStats {
   /// then selected in place, so the caller's copy is the only one.
   static LatencySummary summarize(std::vector<double> values);
 
-  // Ordered map: total_latency_all() folds samples across jobs and
+  // Ascending JobId: total_latency_all() folds samples across jobs and
   // floating-point accumulation is rounding-order-sensitive — iteration
   // order must not depend on hash layout (lint: unordered-output).
-  std::map<JobId, std::vector<double>> total_ms_;
+  FlatMap<JobId, std::vector<double>> total_ms_;
 };
 
 }  // namespace adaptbf

@@ -16,11 +16,12 @@ std::size_t ThroughputTimeline::bin_index(SimTime when) const {
 }
 
 void ThroughputTimeline::record(JobId job, std::uint32_t bytes, SimTime when) {
-  auto& bins = bytes_per_bin_[job];
+  JobSeries& series = jobs_[job];
   const std::size_t index = bin_index(when);
-  if (bins.size() <= index) bins.resize(index + 1, 0);
-  bins[index] += bytes;
-  totals_[job] += bytes;
+  if (series.bytes_per_bin.size() <= index)
+    series.bytes_per_bin.resize(index + 1, 0);
+  series.bytes_per_bin[index] += bytes;
+  series.total += bytes;
 }
 
 std::vector<double> ThroughputTimeline::series_mibps(JobId job,
@@ -29,11 +30,12 @@ std::vector<double> ThroughputTimeline::series_mibps(JobId job,
       static_cast<std::size_t>(horizon.ns() / bin_width_.ns()) +
       (horizon.ns() % bin_width_.ns() != 0 ? 1u : 0u);
   std::vector<double> series(bins, 0.0);
-  auto it = bytes_per_bin_.find(job);
-  if (it == bytes_per_bin_.end()) return series;
+  const JobSeries* recorded = jobs_.find(job);
+  if (recorded == nullptr) return series;
+  const auto& job_bins = recorded->bytes_per_bin;
   const double bin_sec = bin_width_.to_seconds();
-  for (std::size_t i = 0; i < bins && i < it->second.size(); ++i)
-    series[i] = to_mib(it->second[i]) / bin_sec;
+  for (std::size_t i = 0; i < bins && i < job_bins.size(); ++i)
+    series[i] = to_mib(job_bins[i]) / bin_sec;
   return series;
 }
 
@@ -43,20 +45,20 @@ std::vector<double> ThroughputTimeline::aggregate_mibps(SimTime horizon) const {
       (horizon.ns() % bin_width_.ns() != 0 ? 1u : 0u);
   std::vector<double> series(bins, 0.0);
   const double bin_sec = bin_width_.to_seconds();
-  for (const auto& [job, job_bins] : bytes_per_bin_)
-    for (std::size_t i = 0; i < bins && i < job_bins.size(); ++i)
-      series[i] += to_mib(job_bins[i]) / bin_sec;
+  for (const JobSeries& job : jobs_.values())
+    for (std::size_t i = 0; i < bins && i < job.bytes_per_bin.size(); ++i)
+      series[i] += to_mib(job.bytes_per_bin[i]) / bin_sec;
   return series;
 }
 
 std::uint64_t ThroughputTimeline::total_bytes(JobId job) const {
-  auto it = totals_.find(job);
-  return it == totals_.end() ? 0 : it->second;
+  const JobSeries* recorded = jobs_.find(job);
+  return recorded == nullptr ? 0 : recorded->total;
 }
 
 std::uint64_t ThroughputTimeline::total_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [job, bytes] : totals_) total += bytes;
+  for (const JobSeries& job : jobs_.values()) total += job.total;
   return total;
 }
 
@@ -71,10 +73,7 @@ double ThroughputTimeline::aggregate_mean_mibps(SimTime horizon) const {
 }
 
 std::vector<JobId> ThroughputTimeline::jobs() const {
-  std::vector<JobId> ids;
-  ids.reserve(bytes_per_bin_.size());
-  for (const auto& [job, bins] : bytes_per_bin_) ids.push_back(job);
-  return ids;  // std::map keeps ids sorted already.
+  return {jobs_.keys().begin(), jobs_.keys().end()};  // already ascending
 }
 
 }  // namespace adaptbf

@@ -6,11 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "rpc/rpc.h"
 #include "sim/time.h"
+#include "support/flat_map.h"
 
 namespace adaptbf {
 
@@ -42,11 +42,15 @@ class ThroughputTimeline {
  private:
   [[nodiscard]] std::size_t bin_index(SimTime when) const;
 
-  // Ordered maps: aggregate_mibps() sums doubles across jobs, so the
+  struct JobSeries {
+    std::vector<std::uint64_t> bytes_per_bin;
+    std::uint64_t total = 0;
+  };
+
+  // Ascending JobId: aggregate_mibps() sums doubles across jobs, so the
   // fold order must not depend on hash layout (lint: unordered-output).
   SimDuration bin_width_;
-  std::map<JobId, std::vector<std::uint64_t>> bytes_per_bin_;
-  std::map<JobId, std::uint64_t> totals_;
+  FlatMap<JobId, JobSeries> jobs_;
 };
 
 }  // namespace adaptbf

@@ -1,47 +1,46 @@
 #include "ost/job_stats.h"
 
-#include <algorithm>
-
 namespace adaptbf {
 
+JobStatsTracker::Entry& JobStatsTracker::entry(JobId job) {
+  Entry& e = jobs_[job];
+  e.window.job = job;
+  return e;
+}
+
 void JobStatsTracker::record_arrival(const Rpc& rpc) {
-  auto& w = window_[rpc.job];
-  w.job = rpc.job;
-  ++w.rpcs;
-  w.bytes += rpc.size_bytes;
-  auto& c = cumulative_[rpc.job];
-  ++c.rpcs_issued;
-  c.bytes_issued += rpc.size_bytes;
+  Entry& e = entry(rpc.job);
+  ++e.window.rpcs;
+  e.window.bytes += rpc.size_bytes;
+  ++e.cumulative.rpcs_issued;
+  e.cumulative.bytes_issued += rpc.size_bytes;
 }
 
 void JobStatsTracker::record_completion(const Rpc& rpc) {
-  auto& c = cumulative_[rpc.job];
-  ++c.rpcs_completed;
-  c.bytes_completed += rpc.size_bytes;
+  Entry& e = entry(rpc.job);
+  ++e.cumulative.rpcs_completed;
+  e.cumulative.bytes_completed += rpc.size_bytes;
 }
 
 std::vector<JobWindowStats> JobStatsTracker::window_snapshot() const {
   std::vector<JobWindowStats> jobs;
-  jobs.reserve(window_.size());
-  for (const auto& [job, stats] : window_) jobs.push_back(stats);
-  std::sort(jobs.begin(), jobs.end(),
-            [](const auto& a, const auto& b) { return a.job < b.job; });
+  jobs.reserve(jobs_.size());
+  for (const Entry& e : jobs_.values())
+    if (e.window.rpcs > 0) jobs.push_back(e.window);
   return jobs;
 }
 
-void JobStatsTracker::clear_window() { window_.clear(); }
+void JobStatsTracker::clear_window() {
+  for (Entry& e : jobs_.values()) e.window.rpcs = e.window.bytes = 0;
+}
 
 const JobCumulativeStats* JobStatsTracker::cumulative(JobId job) const {
-  auto it = cumulative_.find(job);
-  return it == cumulative_.end() ? nullptr : &it->second;
+  const Entry* e = jobs_.find(job);
+  return e == nullptr ? nullptr : &e->cumulative;
 }
 
 std::vector<JobId> JobStatsTracker::jobs_ever_seen() const {
-  std::vector<JobId> jobs;
-  jobs.reserve(cumulative_.size());
-  for (const auto& [job, stats] : cumulative_) jobs.push_back(job);
-  std::sort(jobs.begin(), jobs.end());
-  return jobs;
+  return {jobs_.keys().begin(), jobs_.keys().end()};
 }
 
 }  // namespace adaptbf

@@ -3,14 +3,15 @@
 // AdapTBF's System Stats Controller samples this every observation window to
 // learn each job's I/O demand d (eq. 3: RPCs issued to the target during the
 // window) and clears it afterwards (§III-B, steps 1 and 9 in Fig. 2).
-// Cumulative counters are kept separately for end-of-run reporting.
+// Cumulative counters for end-of-run reporting sit in the same per-job
+// entry, so an RPC costs one lookup and a window inserts nothing.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "rpc/rpc.h"
+#include "support/flat_map.h"
 
 namespace adaptbf {
 
@@ -39,15 +40,21 @@ class JobStatsTracker {
   /// JobId order for determinism. Does not clear.
   [[nodiscard]] std::vector<JobWindowStats> window_snapshot() const;
 
-  /// Clears the window counters (the controller's step 9).
+  /// Zeroes the window counters in place (the controller's step 9).
   void clear_window();
 
+  /// Valid until the next record_*() call.
   [[nodiscard]] const JobCumulativeStats* cumulative(JobId job) const;
   [[nodiscard]] std::vector<JobId> jobs_ever_seen() const;
 
  private:
-  std::unordered_map<JobId, JobWindowStats> window_;
-  std::unordered_map<JobId, JobCumulativeStats> cumulative_;
+  struct Entry {
+    JobWindowStats window;  ///< rpcs == 0: no arrival this window.
+    JobCumulativeStats cumulative;
+  };
+  Entry& entry(JobId job);
+
+  FlatMap<JobId, Entry> jobs_;
 };
 
 }  // namespace adaptbf

@@ -44,6 +44,10 @@ LogLevel log_level() {
   return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
 }
 
+bool log_enabled(LogLevel level) {
+  return static_cast<int>(level) >= g_level.load(std::memory_order_relaxed);
+}
+
 std::optional<LogLevel> log_level_from_name(std::string_view name) {
   if (name == "debug") return LogLevel::kDebug;
   if (name == "info") return LogLevel::kInfo;
@@ -77,7 +81,7 @@ std::string format_log_timestamp(std::time_t wall_s, int wall_ms,
 }
 
 void log_message(LogLevel level, std::string_view tag, const char* fmt, ...) {
-  if (static_cast<int>(level) < g_level.load(std::memory_order_relaxed)) return;
+  if (!log_enabled(level)) return;
 
   // Format the whole line first so the sink sees one atomic write.
   va_list args;

@@ -26,6 +26,8 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff =
 /// Sets the global threshold; messages below it are dropped.
 void set_log_level(LogLevel level);
 [[nodiscard]] LogLevel log_level();
+/// True when a message at `level` passes the threshold.
+[[nodiscard]] bool log_enabled(LogLevel level);
 
 /// "debug" | "info" | "warn" | "error" | "off" (the sweep_cli --log-level
 /// vocabulary) -> level; nullopt on anything else.
@@ -50,11 +52,19 @@ void log_message(LogLevel level, std::string_view tag, const char* fmt, ...)
 
 }  // namespace adaptbf
 
+// Each macro tests the level first, so a filtered line evaluates none of
+// its arguments (a rule start's matcher string, say, is never built at
+// the default warn level).
+#define ADAPTBF_LOG_AT(level, tag, ...)                   \
+  do {                                                     \
+    if (::adaptbf::log_enabled(level))                     \
+      ::adaptbf::log_message((level), (tag), __VA_ARGS__); \
+  } while (false)
 #define ADAPTBF_LOG_DEBUG(tag, ...) \
-  ::adaptbf::log_message(::adaptbf::LogLevel::kDebug, (tag), __VA_ARGS__)
+  ADAPTBF_LOG_AT(::adaptbf::LogLevel::kDebug, tag, __VA_ARGS__)
 #define ADAPTBF_LOG_INFO(tag, ...) \
-  ::adaptbf::log_message(::adaptbf::LogLevel::kInfo, (tag), __VA_ARGS__)
+  ADAPTBF_LOG_AT(::adaptbf::LogLevel::kInfo, tag, __VA_ARGS__)
 #define ADAPTBF_LOG_WARN(tag, ...) \
-  ::adaptbf::log_message(::adaptbf::LogLevel::kWarn, (tag), __VA_ARGS__)
+  ADAPTBF_LOG_AT(::adaptbf::LogLevel::kWarn, tag, __VA_ARGS__)
 #define ADAPTBF_LOG_ERROR(tag, ...) \
-  ::adaptbf::log_message(::adaptbf::LogLevel::kError, (tag), __VA_ARGS__)
+  ADAPTBF_LOG_AT(::adaptbf::LogLevel::kError, tag, __VA_ARGS__)

@@ -33,6 +33,8 @@ class RpcMatcher {
 
   [[nodiscard]] bool matches(const Rpc& rpc) const;
   [[nodiscard]] bool is_wildcard() const;
+  /// The JobID clause, in the order added (empty: any job).
+  [[nodiscard]] const std::vector<JobId>& jobs() const { return jobs_; }
 
   /// Human-readable expression ("jobid={3} & opcode={ost_write}").
   [[nodiscard]] std::string to_string() const;

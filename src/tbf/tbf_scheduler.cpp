@@ -20,8 +20,18 @@ void TbfScheduler::start_rule(const RuleSpec& spec) {
   auto rule = std::make_unique<Rule>();
   rule->spec = spec;
   rule->generation = ++generation_counter_;
-  rules_by_name_.emplace(spec.name, rule.get());
+  Rule* started = rule.get();
+  rules_by_name_.emplace(spec.name, started);
   rules_.push_back(std::move(rule));
+  const auto& jobs = spec.matcher.jobs();
+  if (jobs.empty()) jobless_rules_.push_back(started);
+  for (JobId job : jobs) {
+    // The new rule is the newest in every list, so a repeated id finds it
+    // at the back already.
+    auto& candidates = rules_by_job_[job];
+    if (candidates.empty() || candidates.back() != started)
+      candidates.push_back(started);
+  }
   ADAPTBF_LOG_DEBUG("tbf", "start rule '%s' (%s) rate=%.2f rank=%d",
                     spec.name.c_str(), spec.matcher.to_string().c_str(),
                     spec.rate, spec.rank);
@@ -46,14 +56,14 @@ bool TbfScheduler::change_rule(const std::string& name, double new_rate,
 }
 
 bool TbfScheduler::stop_rule(const std::string& name, SimTime /*now*/) {
-  auto it = std::find_if(rules_.begin(), rules_.end(),
-                         [&](const auto& r) { return r->spec.name == name; });
-  if (it == rules_.end()) return false;
+  auto named = rules_by_name_.find(name);
+  if (named == rules_by_name_.end()) return false;
+  Rule* rule = named->second;
   // Queues bound to the stopped rule drain through the fallback path:
   // their pending RPCs keep FIFO order within each queue and are appended
   // in ascending JobId order across queues (deterministic).
-  std::vector<JobId> to_erase((*it)->bound_jobs.begin(),
-                              (*it)->bound_jobs.end());
+  std::vector<JobId> to_erase(rule->bound_jobs.begin(),
+                              rule->bound_jobs.end());
   std::sort(to_erase.begin(), to_erase.end());
   for (JobId job : to_erase) {
     auto& queue = queues_.at(job);
@@ -61,8 +71,11 @@ bool TbfScheduler::stop_rule(const std::string& name, SimTime /*now*/) {
       fallback_.push_back({arrival_counter_++, queue.rpcs.front()});
     queues_.erase(job);
   }
-  rules_by_name_.erase(name);
-  rules_.erase(it);
+  const auto& jobs = rule->spec.matcher.jobs();
+  if (jobs.empty()) std::erase(jobless_rules_, rule);
+  for (JobId job : jobs) std::erase(*rules_by_job_.find(job), rule);
+  rules_by_name_.erase(named);
+  std::erase_if(rules_, [rule](const auto& r) { return r.get() == rule; });
   ADAPTBF_LOG_DEBUG("tbf", "stop rule '%s'", name.c_str());
   return true;
 }
@@ -84,11 +97,19 @@ const RuleStats* TbfScheduler::rule_stats(const std::string& name) const {
 }
 
 TbfScheduler::Rule* TbfScheduler::classify(const Rpc& rpc) {
+  // The same pick as a scan of rules_ in start order that keeps the first
+  // lowest rank: start order is generation order.
   Rule* best = nullptr;
-  for (auto& rule : rules_) {
-    if (!rule->spec.matcher.matches(rpc)) continue;
-    if (best == nullptr || rule->spec.rank < best->spec.rank) best = rule.get();
-  }
+  auto consider = [&](Rule* rule) {
+    if (!rule->spec.matcher.matches(rpc)) return;
+    if (best == nullptr || rule->spec.rank < best->spec.rank ||
+        (rule->spec.rank == best->spec.rank &&
+         rule->generation < best->generation))
+      best = rule;
+  };
+  if (const auto* named = rules_by_job_.find(rpc.job))
+    for (Rule* rule : *named) consider(rule);
+  for (Rule* rule : jobless_rules_) consider(rule);
   return best;
 }
 

@@ -3,8 +3,9 @@
 // Faithful model of the Lustre Network Request Scheduler TBF policy
 // (Qian et al., SC'17; Fig. 1 of the AdapTBF paper):
 //
-//  * An ordered rule list classifies arriving RPCs; the first matching rule
-//    wins. Rules can be started, changed (re-rated) and stopped at runtime.
+//  * A rule list classifies arriving RPCs: the matching rule with the
+//    lowest rank wins, and the earliest-started one among equal ranks.
+//    Rules can be started, changed (re-rated) and stopped at runtime.
 //  * Each (rule, classification-key) pair owns a queue with a token bucket.
 //    RPCs within a queue are FCFS and dequeue only when a token is held.
 //  * Queues carry a deadline — the time at which they will next hold a
@@ -28,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/flat_map.h"
 #include "support/ring_fifo.h"
 #include "tbf/rule.h"
 #include "tbf/scheduler.h"
@@ -129,7 +131,9 @@ class TbfScheduler final : public RequestScheduler {
     }
   };
 
-  /// First active rule matching `rpc`, in rank order then start order.
+  /// The matching rule with the lowest rank, then the earliest start.
+  /// Considers only the rules listed under `rpc.job` and the rules with no
+  /// job clause, so its cost does not grow with the number of jobs.
   Rule* classify(const Rpc& rpc);
 
   /// Recomputes and pushes the heap entry for a non-empty throttled queue.
@@ -138,6 +142,12 @@ class TbfScheduler final : public RequestScheduler {
   Config config_;
   std::vector<std::unique_ptr<Rule>> rules_;           // insertion-ordered
   std::unordered_map<std::string, Rule*> rules_by_name_;
+  /// Classification candidates, each list in start order: every rule whose
+  /// matcher names a job is listed under that job, once; rules with no job
+  /// clause are listed in jobless_rules_. A job's list stays in the table
+  /// when its last rule stops, so a restart reuses the storage.
+  FlatMap<JobId, std::vector<Rule*>> rules_by_job_;
+  std::vector<Rule*> jobless_rules_;
   std::unordered_map<JobId, ClassQueue> queues_;       // one per job
   /// Unclassified RPCs, tagged with their arrival sequence. The fallback
   /// competes FIFO-fairly with *due* rule queues (older head first) rather

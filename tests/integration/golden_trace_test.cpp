@@ -18,6 +18,7 @@
 #include <string>
 
 #include "cluster/experiment.h"
+#include "support/random.h"
 #include "workload/scenario.h"
 #include "workload/scenarios_paper.h"
 
@@ -52,6 +53,52 @@ ScenarioSpec make_scenario(const std::string& name, BwControl control) {
     return scenario_token_redistribution(control);
   return scenario_token_recompensation(control);
 }
+
+// A generated many-job mix: 40 jobs with seeded node counts and sparse
+// ids, each with one continuous and one Poisson stream, on 4 OSTs at
+// Δt = 10 ms. The paper scenarios run 4 jobs, so they never classify over
+// dozens of rules, churn rules window to window (sporadic Poisson jobs go
+// idle and come back), or fill many-entry per-job tables; this one does.
+ScenarioSpec many_jobs_scenario(BwControl control) {
+  Xoshiro256 rng(0x6d616e795f6a6f62ULL);
+  ScenarioSpec spec;
+  spec.name = "many_jobs";
+  spec.control = control;
+  spec.num_osts = 4;
+  spec.observation_period = SimDuration::millis(10);
+  spec.duration = SimDuration::millis(400);
+  spec.rpc_size_bytes = 64 * 1024;
+  std::uint32_t id = 0;
+  for (int i = 0; i < 40; ++i) {
+    id += static_cast<std::uint32_t>(rng.next_in(1, 9));
+    JobSpec job;
+    job.id = JobId(id);
+    job.name = "tenant" + std::to_string(id);
+    job.nodes = static_cast<std::uint32_t>(rng.next_in(1, 16));
+    const std::uint64_t continuous_total = rng.next_in(40, 120);
+    const auto continuous_delay =
+        SimDuration::millis(static_cast<std::int64_t>(rng.next_in(0, 49)));
+    job.processes.push_back(
+        continuous_pattern(continuous_total, continuous_delay));
+    const std::uint64_t poisson_total = rng.next_in(20, 60);
+    const double poisson_rate = static_cast<double>(rng.next_in(50, 300));
+    const std::uint64_t poisson_seed = rng.next();
+    const auto poisson_delay =
+        SimDuration::millis(static_cast<std::int64_t>(rng.next_in(0, 99)));
+    job.processes.push_back(poisson_pattern(poisson_total, poisson_rate,
+                                            poisson_seed, poisson_delay));
+    spec.jobs.push_back(std::move(job));
+  }
+  return spec;
+}
+
+// Recorded from the linear-scan classifier and map-based per-job tables,
+// before job-indexed classification replaced them.
+constexpr GoldenCase kManyJobsGolden[] = {
+    {"many_jobs", "static", 0xe4dd93257be68927ULL},
+    {"many_jobs", "adaptive", 0x09675952669acbfeULL},
+    {"many_jobs", "gift", 0x5e2a8133bef4cae6ULL},
+};
 
 struct TraceRun {
   std::uint64_t hash = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
@@ -88,6 +135,17 @@ TEST(GoldenTrace, PaperScenarioDispatchOrderIsPinned) {
   }
 }
 
+TEST(GoldenTrace, ManyJobsDispatchOrderIsPinned) {
+  for (const auto& golden : kManyJobsGolden) {
+    const auto control = bw_control_from_name(golden.policy);
+    ASSERT_TRUE(control.has_value()) << golden.policy;
+    const auto run = run_with_trace(many_jobs_scenario(*control));
+    EXPECT_EQ(run.hash, golden.trace_hash)
+        << golden.scenario << " / " << golden.policy
+        << ": dispatch order changed — the determinism contract is broken";
+  }
+}
+
 TEST(GoldenTraceArenaReuse, OneSimulatorAcrossAllRunsReproducesHashes) {
   // Exactly what a sweep worker does: one simulator, reset() between
   // trials, pools warm from the previous run. Every run must still hash to
@@ -98,6 +156,14 @@ TEST(GoldenTraceArenaReuse, OneSimulatorAcrossAllRunsReproducesHashes) {
     ASSERT_TRUE(control.has_value()) << golden.policy;
     const auto run =
         run_with_trace(make_scenario(golden.scenario, *control), &sim);
+    EXPECT_EQ(run.hash, golden.trace_hash)
+        << golden.scenario << " / " << golden.policy
+        << ": reused-arena dispatch order diverged from a fresh simulator";
+  }
+  for (const auto& golden : kManyJobsGolden) {
+    const auto control = bw_control_from_name(golden.policy);
+    ASSERT_TRUE(control.has_value()) << golden.policy;
+    const auto run = run_with_trace(many_jobs_scenario(*control), &sim);
     EXPECT_EQ(run.hash, golden.trace_hash)
         << golden.scenario << " / " << golden.policy
         << ": reused-arena dispatch order diverged from a fresh simulator";

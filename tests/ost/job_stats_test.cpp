@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace adaptbf {
 namespace {
 
@@ -77,6 +79,50 @@ TEST(JobStatsTracker, JobsEverSeenPersistsAcrossWindows) {
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0], JobId(2));
   EXPECT_EQ(jobs[1], JobId(5));
+}
+
+// Known jobs keep their entries across windows; the snapshot must still
+// list only the jobs that arrived in the current one.
+TEST(JobStatsTracker, IdleKnownJobsStayOutOfTheSnapshot) {
+  JobStatsTracker tracker;
+  for (std::uint32_t job : {4u, 1u, 9u}) {
+    tracker.record_arrival(make_rpc(job, 100));
+    tracker.record_completion(make_rpc(job, 100));
+  }
+  tracker.clear_window();
+
+  // A completion on its own is not demand.
+  tracker.record_completion(make_rpc(4, 100));
+  tracker.record_completion(make_rpc(7, 100));  // first seen completing
+  EXPECT_TRUE(tracker.window_snapshot().empty());
+
+  // An arrival for one of several known jobs lists that job alone.
+  tracker.record_arrival(make_rpc(9, 300));
+  const auto snapshot = tracker.window_snapshot();
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(snapshot[0].job, JobId(9));
+  EXPECT_EQ(snapshot[0].rpcs, 1u);
+  EXPECT_EQ(snapshot[0].bytes, 300u);
+
+  tracker.clear_window();
+  EXPECT_TRUE(tracker.window_snapshot().empty());
+
+  // Clearing windows never touches the cumulative counters or the roster.
+  const auto* four = tracker.cumulative(JobId(4));
+  ASSERT_NE(four, nullptr);
+  EXPECT_EQ(four->rpcs_issued, 1u);
+  EXPECT_EQ(four->rpcs_completed, 2u);
+  EXPECT_EQ(four->bytes_completed, 200u);
+  const auto* nine = tracker.cumulative(JobId(9));
+  ASSERT_NE(nine, nullptr);
+  EXPECT_EQ(nine->rpcs_issued, 2u);
+  EXPECT_EQ(nine->bytes_issued, 400u);
+  const auto* seven = tracker.cumulative(JobId(7));
+  ASSERT_NE(seven, nullptr);
+  EXPECT_EQ(seven->rpcs_issued, 0u);
+  EXPECT_EQ(seven->rpcs_completed, 1u);
+  EXPECT_EQ(tracker.jobs_ever_seen(),
+            (std::vector<JobId>{JobId(1), JobId(4), JobId(7), JobId(9)}));
 }
 
 TEST(JobStatsTracker, BytesAccumulateInCumulative) {

@@ -1,6 +1,6 @@
-// Logger config surface: the --log-level vocabulary and the line
-// timestamp format (wall clock + monotonic elapsed) sweep_cli promises in
-// docs/sweep_cli.md.
+// Logger config surface: the --log-level vocabulary, the line timestamp
+// format (wall clock + monotonic elapsed) sweep_cli promises in
+// docs/sweep_cli.md, and the macros' lazy argument evaluation.
 #include "support/log.h"
 
 #include <gtest/gtest.h>
@@ -38,6 +38,27 @@ TEST(LogLevelEnv, AppliesAndRejects) {
   ASSERT_EQ(unsetenv("ADAPTBF_LOG_LEVEL"), 0);
   EXPECT_TRUE(init_log_level_from_env());  // Unset: no-op, still true.
   EXPECT_EQ(log_level(), LogLevel::kDebug);
+
+  set_log_level(before);
+}
+
+TEST(LogMacros, FilteredLineEvaluatesNoArgument) {
+  const LogLevel before = log_level();
+  int evaluated = 0;
+  auto side_effect = [&evaluated] { return ++evaluated; };
+
+  set_log_level(LogLevel::kWarn);
+  ADAPTBF_LOG_DEBUG("log-test", "filtered %d", side_effect());
+  ADAPTBF_LOG_INFO("log-test", "filtered %d", side_effect());
+  EXPECT_EQ(evaluated, 0);
+
+  set_log_level(LogLevel::kOff);
+  ADAPTBF_LOG_ERROR("log-test", "filtered %d", side_effect());
+  EXPECT_EQ(evaluated, 0);
+
+  set_log_level(LogLevel::kDebug);
+  ADAPTBF_LOG_DEBUG("log-test", "enabled %d", side_effect());
+  EXPECT_EQ(evaluated, 1);
 
   set_log_level(before);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "support/random.h"
@@ -114,6 +115,126 @@ INSTANTIATE_TEST_SUITE_P(
                       SchedulerFuzzParam{404, 8000, 8},
                       SchedulerFuzzParam{505, 1000, 2}),
     [](const ::testing::TestParamInfo<SchedulerFuzzParam>& param_info) {
+      return "seed" + std::to_string(param_info.param.seed);
+    });
+
+// Classification against a reference: a linear scan of the live rules in
+// start order that keeps the first lowest rank. Rules name several jobs
+// (with repeats), nids and opcodes, or no job at all; ranks collide often,
+// change at runtime, and rules stop and restart under their old names.
+// After every enqueue exactly the reference pick's `arrived` must rise, or
+// the fallback backlog when no rule matches.
+struct ClassifyParam {
+  std::uint64_t seed;
+  int operations;
+  std::uint32_t max_jobs;
+};
+
+class TbfClassificationTest : public ::testing::TestWithParam<ClassifyParam> {
+};
+
+TEST_P(TbfClassificationTest, PicksLowestRankThenEarliestStart) {
+  const auto param = GetParam();
+  Xoshiro256 rng(param.seed);
+  TbfScheduler scheduler;
+  struct LiveRule {
+    std::string name;
+    RpcMatcher matcher;
+    std::int32_t rank;
+    std::uint64_t arrived = 0;
+  };
+  std::vector<LiveRule> live;  // start order
+  std::vector<std::string> stopped_names;
+  std::uint64_t rule_counter = 0;
+  std::uint64_t next_rpc_id = 1;
+  SimTime now = SimTime::zero();
+  auto random_job = [&] {
+    return JobId(static_cast<std::uint32_t>(rng.next_in(1, param.max_jobs)));
+  };
+  auto random_opcode = [&] {
+    return rng.next_in(0, 1) == 0 ? Opcode::kOstRead : Opcode::kOstWrite;
+  };
+  // A small rank range makes equal ranks common.
+  auto random_rank = [&] {
+    return static_cast<std::int32_t>(rng.next_in(0, 3)) - 1;
+  };
+
+  for (int op = 0; op < param.operations; ++op) {
+    now += SimDuration::micros(static_cast<std::int64_t>(rng.next_in(0, 500)));
+    const double dice = rng.next_double();
+    if (dice < 0.55) {
+      Rpc rpc;
+      rpc.id = next_rpc_id++;
+      rpc.job = random_job();
+      rpc.nid = Nid(static_cast<std::uint32_t>(rng.next_in(0, 3)));
+      rpc.opcode = random_opcode();
+      rpc.size_bytes = 4096;
+      LiveRule* expected = nullptr;
+      for (auto& rule : live)
+        if (rule.matcher.matches(rpc) &&
+            (expected == nullptr || rule.rank < expected->rank))
+          expected = &rule;
+      const std::size_t fallback_before = scheduler.fallback_backlog();
+      scheduler.enqueue(rpc, now);
+      if (expected != nullptr) ++expected->arrived;
+      EXPECT_EQ(scheduler.fallback_backlog(),
+                fallback_before + (expected == nullptr ? 1 : 0))
+          << "op " << op;
+      for (const auto& rule : live) {
+        const RuleStats* stats = scheduler.rule_stats(rule.name);
+        ASSERT_NE(stats, nullptr) << rule.name;
+        ASSERT_EQ(stats->arrived, rule.arrived)
+            << "op " << op << ": job " << rpc.job.value() << " classified "
+            << (&rule == expected ? "away from" : "to") << " rule "
+            << rule.name;
+      }
+    } else if (dice < 0.70) {
+      while (scheduler.dequeue(now).has_value()) {
+      }
+    } else if (dice < 0.82) {
+      RpcMatcher matcher;
+      const auto jobs = rng.next_in(0, 3);  // 0: no job clause
+      for (std::uint64_t i = 0; i < jobs; ++i) {
+        const JobId job = random_job();
+        matcher.add_job(job);
+        if (rng.next_in(0, 4) == 0) matcher.add_job(job);  // repeated id
+      }
+      if (rng.next_in(0, 3) == 0)
+        matcher.add_nid(Nid(static_cast<std::uint32_t>(rng.next_in(0, 3))));
+      if (rng.next_in(0, 3) == 0) matcher.add_opcode(random_opcode());
+      RuleSpec spec;
+      if (!stopped_names.empty() && rng.next_in(0, 2) == 0) {
+        const auto index = rng.next_in(0, stopped_names.size() - 1);
+        spec.name = stopped_names[index];  // restart under the same name
+        stopped_names.erase(stopped_names.begin() +
+                            static_cast<std::ptrdiff_t>(index));
+      } else {
+        spec.name = "r" + std::to_string(rule_counter++);
+      }
+      spec.matcher = matcher;
+      spec.rate = 1.0 + rng.next_double() * 1000.0;
+      spec.rank = random_rank();
+      scheduler.start_rule(spec);
+      live.push_back({spec.name, matcher, spec.rank});
+    } else if (dice < 0.91 && !live.empty()) {
+      auto& rule = live[rng.next_in(0, live.size() - 1)];
+      rule.rank = random_rank();
+      ASSERT_TRUE(scheduler.change_rule(
+          rule.name, 1.0 + rng.next_double() * 1000.0, rule.rank, now));
+    } else if (!live.empty()) {
+      const auto index = rng.next_in(0, live.size() - 1);
+      ASSERT_TRUE(scheduler.stop_rule(live[index].name, now));
+      stopped_names.push_back(live[index].name);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(index));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, TbfClassificationTest,
+    ::testing::Values(ClassifyParam{11, 6000, 3}, ClassifyParam{22, 6000, 8},
+                      ClassifyParam{33, 4000, 32}),
+    [](const ::testing::TestParamInfo<ClassifyParam>& param_info) {
       return "seed" + std::to_string(param_info.param.seed);
     });
 
