@@ -17,12 +17,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 
 #include "cluster/experiment.h"
 #include "sim/simulator.h"
-#include "support/ini.h"
+#include "support/cli_args.h"
 #include "workload/scenarios_paper.h"
 
 namespace {
@@ -262,27 +261,21 @@ TrialResultStats bench_trials(BwControl control, std::uint64_t trials) {
   return stats;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: sim_core_bench [--events N] [--trials N] "
-               "[--require-zero-alloc]\n");
-  return 2;
-}
-
 int run(int argc, char** argv) {
   std::uint64_t events = 2'000'000;
   std::uint64_t trials = 8;
   bool require_zero_alloc = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      if (!parse_u64(argv[++i], events) || events == 0) return usage();
-    } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      if (!parse_u64(argv[++i], trials) || trials == 0) return usage();
-    } else if (std::strcmp(argv[i], "--require-zero-alloc") == 0) {
-      require_zero_alloc = true;
-    } else {
-      return usage();
-    }
+  const CliMode mode{
+      nullptr,
+      {{"--events", "N", &events, 1},
+       {"--trials", "N", &trials, 1},
+       {"--require-zero-alloc", nullptr, &require_zero_alloc}}};
+  const CliArgs args =
+      parse_cli(mode, {argv + 1, static_cast<std::size_t>(argc - 1)});
+  if (!args.ok()) {
+    std::fprintf(stderr, "error: %s\n\n%s", args.error.c_str(),
+                 cli_synopsis("sim_core_bench", mode).c_str());
+    return 2;
   }
 
   const ChurnResult churn = bench_churn(events);

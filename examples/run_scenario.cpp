@@ -8,10 +8,10 @@
 // and a throughput timeline — everything an operator needs to judge a
 // bandwidth-control policy on their own workload mix.
 #include <cstdio>
-#include <cstring>
 
 #include "cluster/experiment.h"
 #include "metrics/report.h"
+#include "support/cli_args.h"
 #include "support/table.h"
 #include "workload/scenario_io.h"
 
@@ -19,20 +19,17 @@ using namespace adaptbf;
 
 int main(int argc, char** argv) {
   bool dump = false;
-  const char* path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--dump") == 0) {
-      dump = true;
-    } else {
-      path = argv[i];
-    }
-  }
-  if (path == nullptr) {
-    std::fprintf(stderr, "usage: %s [--dump] <scenario.ini>\n", argv[0]);
+  const CliMode mode{
+      nullptr, {{"--dump", nullptr, &dump}}, "<scenario.ini>", 1};
+  const CliArgs args =
+      parse_cli(mode, {argv + 1, static_cast<std::size_t>(argc - 1)});
+  if (!args.ok() || args.operands.empty()) {
+    if (!args.ok()) std::fprintf(stderr, "error: %s\n\n", args.error.c_str());
+    std::fprintf(stderr, "%s", cli_synopsis(argv[0], mode).c_str());
     return 2;
   }
 
-  const ScenarioLoadResult loaded = load_scenario_file(path);
+  const ScenarioLoadResult loaded = load_scenario_file(args.operands[0]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.error.c_str());
     return 1;

@@ -56,15 +56,17 @@
 // stays bounded no matter how many trials have completed.
 //
 // Full reference, every flag and exit code: docs/sweep_cli.md.
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "metrics/sweep_export.h"
@@ -72,6 +74,8 @@
 #include "net/socket.h"
 #include "search/driver.h"
 #include "search/search_io.h"
+#include "support/cli_args.h"
+#include "support/ini.h"
 #include "support/json.h"
 #include "support/log.h"
 #include "support/table.h"
@@ -108,81 +112,62 @@ SweepRunner::Options runner_options(std::uint32_t threads, TrialSink* sink) {
   return options;
 }
 
-/// Strict decimal parse for shard flags: a garbage or empty value (an
-/// unset $SLURM_PROCID, say) must error, not atoi-coerce to shard 0 and
-/// have two processes append to the same journal.
-bool parse_u32_arg(const char* text, std::uint32_t& out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long value = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE ||
-      value > 0xffffffffUL)
-    return false;
-  out = static_cast<std::uint32_t>(value);
-  return true;
-}
+/// Every flag's value. Each mode's table (cli_modes) names the flags that
+/// mode accepts; the defaults here are the documented ones. A number
+/// that must be told apart from "not given" is optional.
+struct Flags {
+  std::uint32_t threads = 0;  // 0 = hardware concurrency.
+  const char* csv = nullptr;
+  const char* json = nullptr;
+  const char* output = nullptr;
+  bool resume = false;
+  std::optional<std::uint32_t> shard_index;
+  std::optional<std::uint32_t> shard_count;
+  bool list = false;
+  std::optional<std::uint32_t> listen;
+  std::uint32_t lease = 16;
+  std::uint32_t lease_timeout_s = 30;
+  std::uint32_t linger_s = 0;
+  const char* connect = nullptr;
+  bool stats_json = false;
+  bool stats_prom = false;
+  std::uint32_t watch_s = 0;  // 0 = poll once.
+  const char* slo = nullptr;
+  std::optional<std::uint32_t> budget;
+};
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--threads N] [--csv PATH] [--json PATH]\n"
-               "          [--output JOURNAL.jsonl [--resume]]\n"
-               "          [--shard-index I --shard-count K] [--list] "
-               "<sweep.ini>\n"
-               "       %s merge --output MERGED.jsonl [--csv PATH] "
-               "[--json PATH]\n"
-               "          <sweep.ini> <shard.jsonl>...\n"
-               "       %s serve --listen PORT --output JOURNAL.jsonl "
-               "[--resume]\n"
-               "          [--lease N] [--lease-timeout SEC] [--linger SEC] "
-               "[--csv PATH]\n"
-               "          [--json PATH] <sweep.ini>\n"
-               "       %s work --connect HOST:PORT [--threads N]\n"
-               "          [--output JOURNAL.jsonl] <sweep.ini>\n"
-               "       %s stats HOST:PORT [--json | --prom] [--watch SEC]\n"
-               "       %s search [--threads N] [--slo EXPR] [--budget N]\n"
-               "          [--output JOURNAL.jsonl] [--resume] [--listen "
-               "PORT]\n"
-               "          [--lease N] [--lease-timeout SEC] [--linger SEC] "
-               "<sweep.ini>\n"
-               "       %s --version\n"
-               "global: --log-level debug|info|warn|error|off (or "
-               "ADAPTBF_LOG_LEVEL)\n"
-               "exit codes: 0 success, 1 runtime/campaign error, 2 usage "
-               "error (docs/sweep_cli.md)\n",
-               argv0, argv0, argv0, argv0, argv0, argv0, argv0);
-  return 2;
-}
+/// One parsed command line and the synopsis its usage errors reprint.
+struct Command {
+  const Flags& flags;
+  std::vector<const char*> operands;
+  std::string synopsis;
 
-/// Usage errors name the problem AND reprint the synopsis — a bare error
-/// string leaves the user grepping docs for the flag they half-remember.
-int usage_error(const char* argv0, const std::string& message) {
-  std::fprintf(stderr, "error: %s\n\n", message.c_str());
-  return usage(argv0);
-}
-
-/// `expected` names the flag's real constraint ("a positive integer",
-/// "a port number (0-65535)", ...) so a value that IS an integer but
-/// fails a range check gets accurate guidance.
-int bad_number(const char* argv0, const char* flag, const char* expected,
-               const char* value) {
-  return usage_error(argv0, std::string(flag) + " needs " + expected +
-                                ", got '" + value + "'");
-}
+  /// Usage errors name the problem AND reprint the mode's synopsis — a
+  /// bare error string leaves the user grepping docs for the flag they
+  /// half-remember.
+  int usage_error(const std::string& message) const {
+    std::fprintf(stderr, "error: %s\n\n%s", message.c_str(),
+                 synopsis.c_str());
+    return 2;
+  }
+};
 
 /// HOST:PORT -> parts. Strict: a missing, zero, or out-of-range port (or
 /// a bare host) is a usage error at the call site, never a default.
 bool parse_endpoint(const std::string& endpoint, std::string& host,
-                    std::uint32_t& port) {
+                    std::uint16_t& port) {
   const std::size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon == 0) return false;
-  if (!parse_u32_arg(endpoint.c_str() + colon + 1, port) || port == 0 ||
-      port > 0xffff)
+  std::uint64_t number = 0;
+  if (colon == std::string::npos || colon == 0 ||
+      !parse_u64(std::string_view(endpoint).substr(colon + 1), number) ||
+      number == 0 || number > 0xffff)
     return false;
   host = endpoint.substr(0, colon);
+  port = static_cast<std::uint16_t>(number);
   return true;
 }
 
-int print_version() {
+int print_version(const Command&) {
   std::printf("sweep_cli (AdapTBF campaign runner)\n"
               "journal format:    %u  (JSONL campaign journal, "
               "\"adaptbf_sweep\" header key)\n"
@@ -269,47 +254,27 @@ int export_from_journal(const std::string& jsonl, const SweepSpec& sweep,
 
 /// `sweep_cli merge`: validate a shard set, write the merged journal, and
 /// export its artifacts.
-int run_merge(int argc, char** argv) {
-  const char* csv_path = nullptr;
-  const char* json_path = nullptr;
-  const char* merged_path = nullptr;
-  const char* sweep_path = nullptr;
-  std::vector<std::string> shard_paths;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
-      merged_path = argv[++i];
-    } else if (argv[i][0] == '-') {
-      return usage_error(argv[0],
-                         std::string("unknown merge option '") + argv[i] +
-                             "'");
-    } else if (sweep_path == nullptr) {
-      sweep_path = argv[i];
-    } else {
-      shard_paths.emplace_back(argv[i]);
-    }
-  }
-  if (sweep_path == nullptr)
-    return usage_error(argv[0], "merge needs a <sweep.ini>");
-  if (shard_paths.empty())
-    return usage_error(argv[0],
-                       "merge needs the shard journals to merge "
-                       "(<shard.jsonl>...)");
+int run_merge(const Command& cmd) {
+  const Flags& flags = cmd.flags;
+  if (cmd.operands.empty())
+    return cmd.usage_error("merge needs a <sweep.ini>");
+  if (cmd.operands.size() == 1)
+    return cmd.usage_error(
+        "merge needs the shard journals to merge (<shard.jsonl>...)");
+  const std::vector<std::string> shard_paths(cmd.operands.begin() + 1,
+                                             cmd.operands.end());
 
-  const LoadedSweep loaded =
-      load_sweep_with_outputs(sweep_path, csv_path, json_path, merged_path);
+  const LoadedSweep loaded = load_sweep_with_outputs(
+      cmd.operands[0], flags.csv, flags.json, flags.output);
   if (!loaded.ok()) return 1;
   const SweepSpec& sweep = loaded.sweep();
   const std::string& csv = loaded.csv;
   const std::string& json = loaded.json;
   const std::string& merged = loaded.jsonl;
   if (merged.empty())
-    return usage_error(argv[0],
-                       "merge needs a destination (--output PATH or an "
-                       "[output] jsonl = line)");
+    return cmd.usage_error(
+        "merge needs a destination (--output PATH or an [output] jsonl = "
+        "line)");
 
   const std::vector<TrialSpec> trials = sweep.expand();
   const ShardMergeResult merge_result =
@@ -325,57 +290,15 @@ int run_merge(int argc, char** argv) {
 
 /// `sweep_cli serve`: coordinate a network-distributed campaign — lease
 /// trials to TCP workers, journal every returned row, export artifacts.
-int run_serve(int argc, char** argv) {
-  std::uint32_t port = 0;
-  bool port_given = false;
-  std::uint32_t lease_size = 16;
-  std::uint32_t lease_timeout_s = 30;
-  std::uint32_t linger_s = 0;
-  bool resume = false;
-  const char* csv_path = nullptr;
-  const char* json_path = nullptr;
-  const char* jsonl_path = nullptr;
-  const char* sweep_path = nullptr;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], port) || port > 0xffff)
-        return bad_number(argv[0], "--listen", "a port number (0-65535)", argv[i]);
-      port_given = true;
-    } else if (std::strcmp(argv[i], "--lease") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], lease_size) || lease_size == 0)
-        return bad_number(argv[0], "--lease", "a positive integer", argv[i]);
-    } else if (std::strcmp(argv[i], "--lease-timeout") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], lease_timeout_s) || lease_timeout_s == 0)
-        return bad_number(argv[0], "--lease-timeout", "a positive number of seconds", argv[i]);
-    } else if (std::strcmp(argv[i], "--linger") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], linger_s))
-        return bad_number(argv[0], "--linger", "a number of seconds", argv[i]);
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
-      jsonl_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (argv[i][0] == '-') {
-      return usage_error(argv[0],
-                         std::string("unknown serve option '") + argv[i] +
-                             "'");
-    } else if (sweep_path == nullptr) {
-      sweep_path = argv[i];
-    } else {
-      return usage_error(argv[0], std::string("unexpected argument '") +
-                                      argv[i] + "'");
-    }
-  }
-  if (sweep_path == nullptr)
-    return usage_error(argv[0], "serve needs a <sweep.ini>");
-  if (!port_given)
-    return usage_error(argv[0], "serve needs --listen PORT");
+int run_serve(const Command& cmd) {
+  const Flags& flags = cmd.flags;
+  if (cmd.operands.empty())
+    return cmd.usage_error("serve needs a <sweep.ini>");
+  if (!flags.listen) return cmd.usage_error("serve needs --listen PORT");
+  const char* sweep_path = cmd.operands[0];
 
-  const LoadedSweep loaded =
-      load_sweep_with_outputs(sweep_path, csv_path, json_path, jsonl_path);
+  const LoadedSweep loaded = load_sweep_with_outputs(
+      sweep_path, flags.csv, flags.json, flags.output);
   if (!loaded.ok()) return 1;
   if (loaded.loaded.has_search()) {
     std::fprintf(stderr,
@@ -389,17 +312,16 @@ int run_serve(int argc, char** argv) {
   const std::string& json = loaded.json;
   const std::string& jsonl = loaded.jsonl;
   if (jsonl.empty())
-    return usage_error(argv[0],
-                       "serve needs a journal (--output PATH or an "
-                       "[output] jsonl = line) — the coordinator journals "
-                       "every trial workers return");
+    return cmd.usage_error(
+        "serve needs a journal (--output PATH or an [output] jsonl = line) "
+        "— the coordinator journals every trial workers return");
 
   const std::vector<TrialSpec> trials = sweep.expand();
   DispatchCoordinator::Options options;
-  options.port = static_cast<std::uint16_t>(port);
-  options.lease_size = lease_size;
-  options.lease_timeout_s = lease_timeout_s;
-  options.linger_s = linger_s;
+  options.port = static_cast<std::uint16_t>(*flags.listen);
+  options.lease_size = flags.lease;
+  options.lease_timeout_s = flags.lease_timeout_s;
+  options.linger_s = flags.linger_s;
   // Progress lines are rate-limited to one per few seconds: a fleet of
   // fast workers would otherwise scroll one line per trial. The rate (and
   // its ETA) counts only rows journaled by THIS serve — resumed rows are
@@ -429,8 +351,8 @@ int run_serve(int argc, char** argv) {
       std::fprintf(stderr, "  [%zu/%zu] journaled, %.1f rows/s\n", done,
                    total, rate);
   };
-  DispatchCoordinator::Open opened =
-      DispatchCoordinator::open(jsonl, sweep.name, trials, resume, options);
+  DispatchCoordinator::Open opened = DispatchCoordinator::open(
+      jsonl, sweep.name, trials, flags.resume, options);
   if (!opened.ok()) {
     std::fprintf(stderr, "error: %s\n", opened.error.c_str());
     return 1;
@@ -461,45 +383,23 @@ int run_serve(int argc, char** argv) {
 }
 
 /// `sweep_cli work`: run leases for a coordinator until it says done.
-int run_work(int argc, char** argv) {
-  std::uint32_t threads = 0;
-  const char* connect = nullptr;
-  const char* jsonl_path = nullptr;
-  const char* sweep_path = nullptr;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
-      connect = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], threads))
-        return bad_number(argv[0], "--threads", "a non-negative integer", argv[i]);
-    } else if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
-      jsonl_path = argv[++i];
-    } else if (argv[i][0] == '-') {
-      return usage_error(argv[0],
-                         std::string("unknown work option '") + argv[i] +
-                             "'");
-    } else if (sweep_path == nullptr) {
-      sweep_path = argv[i];
-    } else {
-      return usage_error(argv[0], std::string("unexpected argument '") +
-                                      argv[i] + "'");
-    }
-  }
-  if (sweep_path == nullptr)
-    return usage_error(argv[0], "work needs a <sweep.ini>");
-  if (connect == nullptr)
-    return usage_error(argv[0], "work needs --connect HOST:PORT");
-  const std::string endpoint = connect;
+int run_work(const Command& cmd) {
+  const Flags& flags = cmd.flags;
+  if (cmd.operands.empty())
+    return cmd.usage_error("work needs a <sweep.ini>");
+  if (flags.connect == nullptr)
+    return cmd.usage_error("work needs --connect HOST:PORT");
+  const std::string endpoint = flags.connect;
   std::string host;
-  std::uint32_t port = 0;
+  std::uint16_t port = 0;
   if (!parse_endpoint(endpoint, host, port))
-    return usage_error(argv[0], "--connect needs HOST:PORT, got '" +
-                                    endpoint + "'");
+    return cmd.usage_error("--connect needs HOST:PORT, got '" + endpoint +
+                           "'");
 
   // The sweep file's [output] paths name the COORDINATOR's artifacts; a
   // worker's optional local journal comes only from its own --output.
   const LoadedSweep loaded =
-      load_sweep_with_outputs(sweep_path, nullptr, nullptr, nullptr);
+      load_sweep_with_outputs(cmd.operands[0], nullptr, nullptr, nullptr);
   if (!loaded.ok()) return 1;
   const SweepSpec& sweep = loaded.sweep();
   // A [search] file's campaign is its PROBE grid: expand the same grid
@@ -519,8 +419,8 @@ int run_work(int argc, char** argv) {
     trials = sweep.expand();
   }
   DispatchWorkerOptions options;
-  options.threads = threads;
-  if (jsonl_path != nullptr) options.journal_path = jsonl_path;
+  options.threads = flags.threads;
+  if (flags.output != nullptr) options.journal_path = flags.output;
   options.on_trial_done = [](const TrialResult& result) {
     std::fprintf(stderr, "  trial %zu: %s / %s rep %u: %.1f MiB/s\n",
                  result.index, result.scenario.c_str(),
@@ -529,8 +429,8 @@ int run_work(int argc, char** argv) {
   };
   std::fprintf(stderr, "worker: sweep '%s' (%zu trials), coordinator %s\n",
                sweep.name.c_str(), trials.size(), endpoint.c_str());
-  const DispatchWorkResult worked = run_dispatch_worker(
-      host, static_cast<std::uint16_t>(port), sweep.name, trials, options);
+  const DispatchWorkResult worked =
+      run_dispatch_worker(host, port, sweep.name, trials, options);
   if (!worked.ok()) {
     std::fprintf(stderr, "error: %s\n", worked.error.c_str());
     return 1;
@@ -543,40 +443,19 @@ int run_work(int argc, char** argv) {
 /// `sweep_cli stats`: poll a live coordinator's telemetry endpoint. One
 /// shot by default; --watch re-polls the SAME connection on a cadence and
 /// exits cleanly when the coordinator goes away (campaign over).
-int run_stats(int argc, char** argv) {
-  const char* endpoint_arg = nullptr;
-  std::string format = "json";
-  std::uint32_t watch_s = 0;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      format = "json";
-    } else if (std::strcmp(argv[i], "--prom") == 0) {
-      format = "prom";
-    } else if (std::strcmp(argv[i], "--watch") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], watch_s) || watch_s == 0)
-        return bad_number(argv[0], "--watch", "a positive number of seconds",
-                          argv[i]);
-    } else if (argv[i][0] == '-') {
-      return usage_error(argv[0], std::string("unknown stats option '") +
-                                      argv[i] + "'");
-    } else if (endpoint_arg == nullptr) {
-      endpoint_arg = argv[i];
-    } else {
-      return usage_error(argv[0], std::string("unexpected argument '") +
-                                      argv[i] + "'");
-    }
-  }
-  if (endpoint_arg == nullptr)
-    return usage_error(argv[0], "stats needs HOST:PORT");
-  const std::string endpoint = endpoint_arg;
+int run_stats(const Command& cmd) {
+  const Flags& flags = cmd.flags;
+  if (cmd.operands.empty()) return cmd.usage_error("stats needs HOST:PORT");
+  if (flags.stats_json && flags.stats_prom)
+    return cmd.usage_error("--json and --prom are mutually exclusive");
+  const std::string format = flags.stats_prom ? "prom" : "json";
+  const std::string endpoint = cmd.operands[0];
   std::string host;
-  std::uint32_t port = 0;
+  std::uint16_t port = 0;
   if (!parse_endpoint(endpoint, host, port))
-    return usage_error(argv[0],
-                       "stats needs HOST:PORT, got '" + endpoint + "'");
+    return cmd.usage_error("stats needs HOST:PORT, got '" + endpoint + "'");
 
-  TcpSocket::ConnectResult connected =
-      TcpSocket::connect_to(host, static_cast<std::uint16_t>(port));
+  TcpSocket::ConnectResult connected = TcpSocket::connect_to(host, port);
   if (!connected.ok()) {
     std::fprintf(stderr, "error: cannot connect to %s: %s\n",
                  endpoint.c_str(), connected.error.c_str());
@@ -633,114 +512,22 @@ int run_stats(int argc, char** argv) {
     if (msg.body.empty() || msg.body.back() != '\n') std::printf("\n");
     std::fflush(stdout);
     first_poll = false;
-    if (watch_s == 0) return 0;
-    std::this_thread::sleep_for(std::chrono::seconds(watch_s));
+    if (flags.watch_s == 0) return 0;
+    std::this_thread::sleep_for(std::chrono::seconds(flags.watch_s));
   }
-}
-
-/// `search` has its own synopsis: its usage errors reprint THIS, not the
-/// seven-subcommand wall, so the user sees the flags that exist here.
-int search_usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s search [--threads N] [--slo EXPR] [--budget N]\n"
-               "          [--output JOURNAL.jsonl] [--resume] [--listen "
-               "PORT]\n"
-               "          [--lease N] [--lease-timeout SEC] [--linger SEC] "
-               "<sweep.ini>\n"
-               "the sweep file needs a [search] section (docs/search.md); "
-               "--slo EXPR\n"
-               "(e.g. 'p99_ms<=250,jain>=0.9') overrides the file's slo = "
-               "line and\n"
-               "--budget its step budget. --listen fans probes out to "
-               "`%s work`\n"
-               "processes instead of running them in-process.\n",
-               argv0, argv0);
-  return 2;
-}
-
-int search_usage_error(const char* argv0, const std::string& message) {
-  std::fprintf(stderr, "error: %s\n\n", message.c_str());
-  return search_usage(argv0);
 }
 
 /// `sweep_cli search`: run (or resume) a closed-loop search. Probes run
 /// in-process by default; --listen turns this process into an adaptive
 /// coordinator and fans them out to ordinary `work` processes.
-int run_search_cmd(int argc, char** argv) {
-  std::uint32_t threads = 0;
-  std::uint32_t port = 0;
-  bool port_given = false;
-  std::uint32_t lease_size = 16;
-  std::uint32_t lease_timeout_s = 30;
-  std::uint32_t linger_s = 0;
-  std::uint32_t budget = 0;
-  bool budget_given = false;
-  bool resume = false;
-  const char* slo_flag = nullptr;
-  const char* jsonl_path = nullptr;
-  const char* sweep_path = nullptr;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], threads))
-        return search_usage_error(argv[0],
-                                  std::string("--threads needs a "
-                                              "non-negative integer, got '") +
-                                      argv[i] + "'");
-    } else if (std::strcmp(argv[i], "--slo") == 0 && i + 1 < argc) {
-      slo_flag = argv[++i];
-    } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], budget) || budget == 0)
-        return search_usage_error(argv[0],
-                                  std::string("--budget needs a positive "
-                                              "integer, got '") +
-                                      argv[i] + "'");
-      budget_given = true;
-    } else if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
-      jsonl_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (std::strcmp(argv[i], "--listen") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], port) || port > 0xffff)
-        return search_usage_error(argv[0],
-                                  std::string("--listen needs a port number "
-                                              "(0-65535), got '") +
-                                      argv[i] + "'");
-      port_given = true;
-    } else if (std::strcmp(argv[i], "--lease") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], lease_size) || lease_size == 0)
-        return search_usage_error(argv[0],
-                                  std::string("--lease needs a positive "
-                                              "integer, got '") +
-                                      argv[i] + "'");
-    } else if (std::strcmp(argv[i], "--lease-timeout") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], lease_timeout_s) || lease_timeout_s == 0)
-        return search_usage_error(argv[0],
-                                  std::string("--lease-timeout needs a "
-                                              "positive number of seconds, "
-                                              "got '") +
-                                      argv[i] + "'");
-    } else if (std::strcmp(argv[i], "--linger") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], linger_s))
-        return search_usage_error(argv[0],
-                                  std::string("--linger needs a number of "
-                                              "seconds, got '") +
-                                      argv[i] + "'");
-    } else if (argv[i][0] == '-') {
-      return search_usage_error(argv[0],
-                                std::string("unknown search option '") +
-                                    argv[i] + "'");
-    } else if (sweep_path == nullptr) {
-      sweep_path = argv[i];
-    } else {
-      return search_usage_error(argv[0], std::string("unexpected argument '") +
-                                             argv[i] + "'");
-    }
-  }
-  if (sweep_path == nullptr)
-    return search_usage_error(argv[0], "search needs a <sweep.ini>");
+int run_search_cmd(const Command& cmd) {
+  const Flags& flags = cmd.flags;
+  if (cmd.operands.empty())
+    return cmd.usage_error("search needs a <sweep.ini>");
+  const char* sweep_path = cmd.operands[0];
 
   const LoadedSweep loaded =
-      load_sweep_with_outputs(sweep_path, nullptr, nullptr, jsonl_path);
+      load_sweep_with_outputs(sweep_path, nullptr, nullptr, flags.output);
   if (!loaded.ok()) return 1;
   const SweepSpec& sweep = loaded.sweep();
   const std::string& jsonl = loaded.jsonl;
@@ -755,29 +542,27 @@ int run_search_cmd(int argc, char** argv) {
   // its slo = line when the flag is present.
   const SearchLoadResult search_loaded =
       load_search(loaded.loaded.search_entries,
-                  /*require_slo=*/slo_flag == nullptr);
+                  /*require_slo=*/flags.slo == nullptr);
   if (!search_loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", search_loaded.error.c_str());
     return 1;
   }
   SearchSpec spec = *search_loaded.spec;
-  if (slo_flag != nullptr) {
-    const SloParseResult slo = parse_slo(slo_flag);
-    if (!slo.ok())
-      return search_usage_error(argv[0], "--slo: " + slo.error);
+  if (flags.slo != nullptr) {
+    const SloParseResult slo = parse_slo(flags.slo);
+    if (!slo.ok()) return cmd.usage_error("--slo: " + slo.error);
     spec.slo = slo.thresholds;
   }
-  if (budget_given) spec.budget = budget;
+  if (flags.budget) spec.budget = *flags.budget;
   const std::string invalid = spec.validate(sweep);
   if (!invalid.empty()) {
     std::fprintf(stderr, "error: %s\n", invalid.c_str());
     return 1;
   }
   if (jsonl.empty())
-    return search_usage_error(argv[0],
-                              "search needs a journal (--output PATH or an "
-                              "[output] jsonl = line) — every probe and "
-                              "controller step is journaled there");
+    return cmd.usage_error(
+        "search needs a journal (--output PATH or an [output] jsonl = line) "
+        "— every probe and controller step is journaled there");
 
   // The probe grid: every trial any controller step could request,
   // pre-expanded. Workers expand the identical grid from the same file
@@ -801,12 +586,12 @@ int run_search_cmd(int argc, char** argv) {
 
   DispatchCoordinator::Open opened;
   std::unique_ptr<ProbeExecutor> executor;
-  if (port_given) {
+  if (flags.listen) {
     DispatchCoordinator::Options coord;
-    coord.port = static_cast<std::uint16_t>(port);
-    coord.lease_size = lease_size;
-    coord.lease_timeout_s = lease_timeout_s;
-    coord.linger_s = linger_s;
+    coord.port = static_cast<std::uint16_t>(*flags.listen);
+    coord.lease_size = flags.lease;
+    coord.lease_timeout_s = flags.lease_timeout_s;
+    coord.linger_s = flags.linger_s;
     opened = DispatchCoordinator::open_adaptive(sweep.name, trials, coord);
     if (!opened.ok()) {
       std::fprintf(stderr, "error: %s\n", opened.error.c_str());
@@ -824,11 +609,11 @@ int run_search_cmd(int argc, char** argv) {
     options.metrics = &opened.coordinator->registry();
     executor = make_dispatch_probe_executor(*opened.coordinator);
   } else {
-    executor = make_local_probe_executor(trials, threads, nullptr);
+    executor = make_local_probe_executor(trials, flags.threads, nullptr);
   }
 
-  const SearchOutcome outcome =
-      run_search(spec, sweep.name, trials, jsonl, resume, *executor, options);
+  const SearchOutcome outcome = run_search(spec, sweep.name, trials, jsonl,
+                                           flags.resume, *executor, options);
   // Release the fleet (and linger for stats pollers) even on error —
   // abandoned workers would otherwise park on `wait` forever.
   if (opened.coordinator) opened.coordinator->finish();
@@ -889,105 +674,30 @@ int run_search_cmd(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Logging config first, so every subcommand (and load error) honors it.
-  // Env is the fallback; an explicit --log-level (valid anywhere on the
-  // command line, stripped before subcommand parsing) wins.
-  if (!init_log_level_from_env())
-    std::fprintf(stderr,
-                 "warning: ignoring ADAPTBF_LOG_LEVEL (expected debug|info|"
-                 "warn|error|off)\n");
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--log-level") == 0) {
-      if (i + 1 >= argc)
-        return usage_error(argv[0],
-                           "--log-level needs debug|info|warn|error|off");
-      const auto level = log_level_from_name(argv[++i]);
-      if (!level)
-        return usage_error(
-            argv[0],
-            std::string("--log-level needs debug|info|warn|error|off, "
-                        "got '") +
-                argv[i] + "'");
-      set_log_level(*level);
-      continue;
-    }
-    args.push_back(argv[i]);
+/// The default mode: run the full grid (or one shard of it) in this
+/// process.
+int run_campaign(const Command& cmd) {
+  const Flags& flags = cmd.flags;
+  if (cmd.operands.empty()) {
+    std::fprintf(stderr, "%s", cmd.synopsis.c_str());
+    return 2;
   }
-  argc = static_cast<int>(args.size());
-  argv = args.data();
-
-  if (argc > 1 && std::strcmp(argv[1], "--version") == 0)
-    return print_version();
-  if (argc > 1 && std::strcmp(argv[1], "merge") == 0)
-    return run_merge(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
-    return run_serve(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "work") == 0)
-    return run_work(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "stats") == 0)
-    return run_stats(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "search") == 0)
-    return run_search_cmd(argc, argv);
-
-  std::uint32_t threads = 0;
-  bool list_only = false;
-  bool resume = false;
-  ShardRef shard;
-  bool shard_index_given = false;
-  bool shard_count_given = false;
-  const char* csv_path = nullptr;
-  const char* json_path = nullptr;
-  const char* jsonl_path = nullptr;
-  const char* sweep_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], threads))
-        return bad_number(argv[0], "--threads", "a non-negative integer", argv[i]);
-    } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--output") == 0 && i + 1 < argc) {
-      jsonl_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--shard-index") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], shard.index))
-        return bad_number(argv[0], "--shard-index", "a non-negative integer", argv[i]);
-      shard_index_given = true;
-    } else if (std::strcmp(argv[i], "--shard-count") == 0 && i + 1 < argc) {
-      if (!parse_u32_arg(argv[++i], shard.count))
-        return bad_number(argv[0], "--shard-count", "a non-negative integer", argv[i]);
-      shard_count_given = true;
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (std::strcmp(argv[i], "--list") == 0) {
-      list_only = true;
-    } else if (argv[i][0] == '-') {
-      return usage_error(argv[0],
-                         std::string("unknown option '") + argv[i] + "'");
-    } else {
-      sweep_path = argv[i];
-    }
-  }
-  if (sweep_path == nullptr) return usage(argv[0]);
-  if (shard_index_given != shard_count_given) {
+  if (flags.shard_index.has_value() != flags.shard_count.has_value()) {
     // Half a shard identity would default the other half and silently run
     // the wrong slice (or the whole campaign).
-    return usage_error(argv[0],
-                       "--shard-index and --shard-count must be given "
-                       "together");
+    return cmd.usage_error(
+        "--shard-index and --shard-count must be given together");
   }
-  if (shard_index_given) {
+  ShardRef shard;
+  if (flags.shard_index) {
+    shard = {*flags.shard_index, *flags.shard_count};
     const std::string shard_error = shard_ref_error(shard);
-    if (!shard_error.empty()) return usage_error(argv[0], shard_error);
+    if (!shard_error.empty()) return cmd.usage_error(shard_error);
   }
+  const char* sweep_path = cmd.operands[0];
 
-  const LoadedSweep loaded =
-      load_sweep_with_outputs(sweep_path, csv_path, json_path, jsonl_path);
+  const LoadedSweep loaded = load_sweep_with_outputs(
+      sweep_path, flags.csv, flags.json, flags.output);
   if (!loaded.ok()) return 1;
   if (loaded.loaded.has_search()) {
     // Running the BASE grid of a search file would journal under the
@@ -1002,16 +712,15 @@ int main(int argc, char** argv) {
   const std::string& csv = loaded.csv;
   const std::string& json = loaded.json;
   const std::string& jsonl = loaded.jsonl;
-  if (resume && jsonl.empty())
-    return usage_error(argv[0],
-                       "--resume needs a journal (--output PATH or an "
-                       "[output] jsonl = line)");
-  if (shard.sharded() && jsonl.empty() && !list_only)
-    return usage_error(argv[0],
-                       "a sharded run needs a journal base (--output PATH "
-                       "or an [output] jsonl = line); the shard writes "
-                       "PATH.shard-" + std::to_string(shard.index) +
-                       "-of-" + std::to_string(shard.count));
+  if (flags.resume && jsonl.empty())
+    return cmd.usage_error(
+        "--resume needs a journal (--output PATH or an [output] jsonl = "
+        "line)");
+  if (shard.sharded() && jsonl.empty() && !flags.list)
+    return cmd.usage_error(
+        "a sharded run needs a journal base (--output PATH or an [output] "
+        "jsonl = line); the shard writes PATH.shard-" +
+        std::to_string(shard.index) + "-of-" + std::to_string(shard.count));
 
   const std::vector<TrialSpec> all_trials = sweep.expand();
   // Everything below runs the shard's slice. Unsharded runs alias the
@@ -1030,7 +739,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "shard %s: %zu of %zu trials\n", shard.str().c_str(),
                  trials.size(), all_trials.size());
 
-  if (list_only) {
+  if (flags.list) {
     Table table({"trial", "scenario", "policy", "osts", "token_rate",
                  "repetition", "seed"});
     for (const auto& trial : trials) {
@@ -1059,7 +768,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", scan.error.c_str());
       return 1;
     }
-    if (!resume && !scan.fresh) {
+    if (!flags.resume && !scan.fresh) {
       std::fprintf(stderr,
                    "error: journal '%s' already exists (%zu/%zu trials); "
                    "pass --resume to continue it or remove it to restart\n",
@@ -1091,7 +800,8 @@ int main(int argc, char** argv) {
     if (todo.empty()) {
       std::fprintf(stderr, "resume: campaign already complete\n");
     } else {
-      const SweepRunner runner(runner_options(threads, opened.sink.get()));
+      const SweepRunner runner(
+          runner_options(flags.threads, opened.sink.get()));
       try {
         (void)runner.run(todo);
       } catch (const std::exception& e) {
@@ -1128,13 +838,7 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------- in-memory mode
-  if (shard.sharded()) {
-    // Unreachable (sharded runs require a journal); kept as a guard for
-    // future flag plumbing.
-    std::fprintf(stderr, "error: sharded runs require --output\n");
-    return 2;
-  }
-  const SweepRunner runner(runner_options(threads, nullptr));
+  const SweepRunner runner(runner_options(flags.threads, nullptr));
   std::vector<TrialResult> results;
   try {
     results = runner.run(trials);
@@ -1167,4 +871,116 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", json.c_str());
   }
   return 0;
+}
+
+struct Mode {
+  CliMode cli;
+  int (*run)(const Command&);
+};
+
+/// Every mode's flag table, bound to one Flags. The first mode is the
+/// default run; a leading mode word selects any other. Rows that several
+/// modes share are declared once, so a flag has one metavar and one range
+/// everywhere.
+std::vector<Mode> cli_modes(Flags& f) {
+  const CliFlag threads{"--threads", "N", &f.threads};
+  const CliFlag csv{"--csv", "PATH", &f.csv};
+  const CliFlag json{"--json", "PATH", &f.json};
+  const CliFlag journal{"--output", "JOURNAL.jsonl", &f.output};
+  const CliFlag resume{"--resume", nullptr, &f.resume};
+  const CliFlag listen{"--listen", "PORT", &f.listen, 0, 0xffff};
+  const CliFlag lease{"--lease", "N", &f.lease, 1};
+  const CliFlag lease_timeout{"--lease-timeout", "SEC", &f.lease_timeout_s,
+                              1};
+  const CliFlag linger{"--linger", "SEC", &f.linger_s};
+  constexpr std::size_t kAnyCount = std::numeric_limits<std::size_t>::max();
+  return {
+      {{nullptr,
+        {threads, csv, json, journal, resume,
+         {"--shard-index", "I", &f.shard_index},
+         {"--shard-count", "K", &f.shard_count},
+         {"--list", nullptr, &f.list}},
+        "<sweep.ini>", 1},
+       run_campaign},
+      {{"merge", {{"--output", "MERGED.jsonl", &f.output}, csv, json},
+        "<sweep.ini> <shard.jsonl>...", kAnyCount},
+       run_merge},
+      {{"serve",
+        {listen, journal, resume, lease, lease_timeout, linger, csv, json},
+        "<sweep.ini>", 1},
+       run_serve},
+      {{"work", {{"--connect", "HOST:PORT", &f.connect}, threads, journal},
+        "<sweep.ini>", 1},
+       run_work},
+      {{"stats",
+        {{"--json", nullptr, &f.stats_json},
+         {"--prom", nullptr, &f.stats_prom},
+         {"--watch", "SEC", &f.watch_s, 1}},
+        "HOST:PORT", 1},
+       run_stats},
+      {{"search",
+        {threads, {"--slo", "EXPR", &f.slo}, {"--budget", "N", &f.budget, 1},
+         journal, resume, listen, lease, lease_timeout, linger},
+        "<sweep.ini>", 1},
+       run_search_cmd},
+      {{"--version", {}, "", 0}, print_version},
+  };
+}
+
+/// The default mode's usage lists every mode: a command line without a
+/// mode word may have meant any of them.
+std::string global_usage(const char* argv0, const std::vector<Mode>& modes) {
+  std::string out;
+  for (const Mode& mode : modes) out += cli_synopsis(argv0, mode.cli);
+  return out +
+         "global: --log-level debug|info|warn|error|off (or "
+         "ADAPTBF_LOG_LEVEL)\n"
+         "exit codes: 0 success, 1 runtime/campaign error, 2 usage error "
+         "(docs/sweep_cli.md)\n";
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Flags flags;
+  const std::vector<Mode> modes = cli_modes(flags);
+  Command cmd{flags, {}, global_usage(argv[0], modes)};
+
+  // Logging config first, so every subcommand (and load error) honors it.
+  // Env is the fallback; an explicit --log-level (valid anywhere on the
+  // command line, stripped before subcommand parsing) wins.
+  if (!init_log_level_from_env())
+    std::fprintf(stderr,
+                 "warning: ignoring ADAPTBF_LOG_LEVEL (expected debug|info|"
+                 "warn|error|off)\n");
+  std::vector<char*> args;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--log-level") == 0) {
+      if (i + 1 >= argc)
+        return cmd.usage_error("--log-level needs debug|info|warn|error|off");
+      const auto level = log_level_from_name(argv[++i]);
+      if (!level)
+        return cmd.usage_error(
+            std::string("--log-level needs debug|info|warn|error|off, got '") +
+            argv[i] + "'");
+      set_log_level(*level);
+      continue;
+    }
+    args.push_back(argv[i]);
+  }
+
+  const Mode* mode = &modes.front();
+  std::span<char* const> words(args);
+  for (const Mode& named : modes)
+    if (named.cli.name != nullptr && !words.empty() &&
+        std::strcmp(words.front(), named.cli.name) == 0)
+      mode = &named;
+  if (mode != &modes.front()) {
+    words = words.subspan(1);
+    cmd.synopsis = cli_synopsis(argv[0], mode->cli);
+  }
+  CliArgs parsed = parse_cli(mode->cli, words);
+  if (!parsed.ok()) return cmd.usage_error(parsed.error);
+  cmd.operands = std::move(parsed.operands);
+  return mode->run(cmd);
 }

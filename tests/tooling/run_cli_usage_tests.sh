@@ -7,7 +7,8 @@
 # search flags must fail with the SEARCH-specific usage (exit 2), and a
 # sweep file carrying a [search] section must be bounced from the plain
 # run/serve paths toward `sweep_cli search` (exit 1), by name. A
-# malformed number must fail with exit 2 on every path, never coerce.
+# malformed number, a missing value or an extra operand must fail with
+# exit 2 on every path, never coerce or guess.
 set -euo pipefail
 
 cli=${1:?usage: run_cli_usage_tests.sh <path-to-sweep_cli>}
@@ -74,6 +75,17 @@ expect global-unknown-flag       2 "usage:" -- --frobnicate
 # The plain run parses --threads as strictly as work and search do.
 expect run-bad-threads           2 "--threads needs a non-negative integer" \
   -- --threads nope "$paper_ini"
+
+# Every mode takes only its operands, and a value flag that ends the line
+# is missing its value, not unknown.
+expect run-extra-operand         2 "unexpected argument" \
+  -- --list "$paper_ini" examples/sweeps/resumable_campaign.ini
+expect serve-missing-value       2 "--listen needs a value" \
+  -- serve "$paper_ini" --listen
+
+# stats prints one format: --json and --prom together are a usage error.
+expect stats-json-and-prom       2 "--json and --prom are mutually exclusive" \
+  -- stats 127.0.0.1:7001 --json --prom
 
 if [ "$fail" -eq 0 ]; then
   echo "run_cli_usage_tests: OK"
