@@ -573,14 +573,14 @@ int run_search_cmd(const Command& cmd) {
                "search '%s': %s over %s, %zu-rung ladder, budget %u "
                "(probe grid: %zu trials)\n",
                sweep.name.c_str(), search_controller_name(spec.controller),
-               search_input_name(spec.input), spec.inputs().size(),
+               spec.input.c_str(), spec.inputs().size(),
                spec.budget, trials.size());
 
   SearchDriverOptions options;
   options.on_step = [&spec](const SearchStepRow& row) {
     std::fprintf(stderr, "  step %u [%s] %s=%s verdict=%s bracket=%s\n",
                  row.step, row.test_stage ? "test" : "adjust",
-                 search_input_name(spec.input), json_num(row.input).c_str(),
+                 spec.input.c_str(), json_num(row.input).c_str(),
                  verdict_name(row.verdict), json_num(row.bracket).c_str());
   };
 
@@ -632,7 +632,7 @@ int run_search_cmd(const Command& cmd) {
   line += ",\"controller\":";
   line += json_quote(search_controller_name(spec.controller));
   line += ",\"input\":";
-  line += json_quote(search_input_name(spec.input));
+  line += json_quote(spec.input);
   line += outcome.converged ? ",\"converged\":true" : ",\"converged\":false";
   line += outcome.feasible ? ",\"feasible\":true" : ",\"feasible\":false";
   if (outcome.best_index.has_value()) {
@@ -660,7 +660,7 @@ int run_search_cmd(const Command& cmd) {
     std::fprintf(stderr,
                  "search done: best %s = %s (%s, %s), %u step(s) (%u "
                  "replayed), %llu new trial(s)\n",
-                 search_input_name(spec.input),
+                 spec.input.c_str(),
                  json_num(outcome.best_input).c_str(),
                  outcome.converged ? "converged" : "budget exhausted",
                  outcome.feasible ? "feasible" : "NOT upheld by the test "
@@ -731,10 +731,13 @@ int run_campaign(const Command& cmd) {
   const std::vector<TrialSpec>& trials =
       shard.sharded() ? plan.trials : all_trials;
   std::fprintf(stderr,
-               "sweep '%s': %zu scenario(s) x %zu policy(ies) x %u seed(s) "
-               "=> %zu trials\n",
+               "sweep '%s': %zu scenario(s) x %zu policy(ies) x %zu grid "
+               "point(s) x %u seed(s) => %zu trials\n",
                sweep.name.c_str(), sweep.scenarios.size(),
-               sweep.policies.size(), sweep.repetitions, all_trials.size());
+               sweep.policies.size(),
+               all_trials.size() / sweep.scenarios.size() /
+                   sweep.policies.size() / sweep.repetitions,
+               sweep.repetitions, all_trials.size());
   if (shard.sharded())
     std::fprintf(stderr, "shard %s: %zu of %zu trials\n", shard.str().c_str(),
                  trials.size(), all_trials.size());

@@ -11,6 +11,8 @@
 #      (sanitizer flavors, -Werror switch, lint scripts, test labels)
 #   6. every *.md file a file under src/, bench/ or tests/ names must
 #      exist, relative to the repo root or to the naming file
+#   7. every key in scenario_io.cpp's key table must have a row in the
+#      scenario key list of docs/formats.md
 #
 # Mentioning a header is a low bar on purpose: the check catches "we
 # added a subsystem and never documented it", not prose quality.
@@ -69,6 +71,24 @@ while IFS=: read -r file ref; do
     fail=1
   fi
 done <<<"$refs"
+
+# Table rows open with {"<section>", "<key>", — one per key. Only rows of
+# the "## Scenario keys" section count: `osts` is a journal field too.
+keys=$(sed -nE 's/^ *\{"(scenario|server|client)", "([a-z_]+)",.*/\2/p' \
+  src/workload/scenario_io.cpp)
+if [ -z "$keys" ]; then
+  echo "docs check: found no key table in src/workload/scenario_io.cpp" >&2
+  fail=1
+fi
+key_list=$(awk '/^## /{keep = ($0 == "## Scenario keys")} keep' \
+  docs/formats.md)
+while IFS= read -r key; do
+  [ -n "$key" ] || continue
+  if ! grep -qF -- "| \`$key\` |" <<<"$key_list"; then
+    echo "docs check: scenario key '$key' has no row in docs/formats.md" >&2
+    fail=1
+  fi
+done <<<"$keys"
 
 if [ "$fail" -eq 0 ]; then
   echo "docs check: OK"

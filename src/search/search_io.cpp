@@ -1,7 +1,5 @@
 #include "search/search_io.h"
 
-#include <string_view>
-
 #include "support/ini.h"
 
 namespace adaptbf {
@@ -12,24 +10,6 @@ SearchLoadResult fail(std::string message) {
   SearchLoadResult result;
   result.error = "[search] " + std::move(message);
   return result;
-}
-
-/// Splits a comma list, trimming each element (sweep_io.h idiom).
-std::vector<std::string> split_list(std::string_view text) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string_view raw =
-        text.substr(start, comma == std::string_view::npos
-                               ? std::string_view::npos
-                               : comma - start);
-    const std::string_view item = trim(raw);
-    if (!item.empty()) items.emplace_back(item);
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  return items;
 }
 
 }  // namespace
@@ -59,13 +39,7 @@ SearchLoadResult load_search(
         return fail("bad controller '" + value +
                     "' (bisect|golden|halving)");
     } else if (key == "input") {
-      if (value == "token_rate") spec.input = SearchInput::kTokenRate;
-      else if (value == "ewma_alpha") spec.input = SearchInput::kEwmaAlpha;
-      else if (value == "bucket_depth")
-        spec.input = SearchInput::kBucketDepth;
-      else
-        return fail("bad input '" + value +
-                    "' (token_rate|ewma_alpha|bucket_depth)");
+      spec.input = value;  // Checked with the rungs below.
     } else if (key == "ladder") {
       for (const auto& item : split_list(value)) {
         double rung = 0.0;
@@ -126,6 +100,9 @@ SearchLoadResult load_search(
     return fail("needs a ladder (ladder = <comma list>, or lo < hi)");
   if (!saw_slo && require_slo)
     return fail("needs an SLO (slo = p99_ms<=N, ...)");
+  // The ladder is one more grid axis; every caller expands it.
+  const std::string invalid = validate_axis(spec.ladder_axis());
+  if (!invalid.empty()) return fail("input: " + invalid);
 
   SearchLoadResult result;
   result.spec = std::move(spec);

@@ -3,7 +3,7 @@
 //
 //   [search]
 //   controller = bisect             ; bisect | golden | halving
-//   input = token_rate              ; token_rate | ewma_alpha | bucket_depth
+//   input = token_rate              ; any [grid] key (docs/search.md)
 //   ladder = 800, 1200, 1600, 2400  ; explicit candidate values, OR:
 //   lo = 800                        ; uniform ladder over [lo, hi]
 //   hi = 2400
@@ -36,10 +36,11 @@ struct SearchLoadResult {
 };
 
 /// Parses raw `[search]` entries (key/value, file order) into a
-/// SearchSpec. Validation against the base sweep (single scenario, free
-/// axis, ...) is SearchSpec::validate's job — this layer only owns the
-/// key grammar. `require_slo` = false when the caller supplies the SLO
-/// another way (sweep_cli search --slo overrides the file's).
+/// SearchSpec whose ladder_axis() is a valid grid axis. Validation against
+/// the base sweep (single scenario, free axis, ...) is
+/// SearchSpec::validate's job. `require_slo` = false when the caller
+/// supplies the SLO another way (sweep_cli search --slo overrides the
+/// file's).
 [[nodiscard]] SearchLoadResult load_search(
     const std::vector<std::pair<std::string, std::string>>& entries,
     bool require_slo = true);

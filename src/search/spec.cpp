@@ -1,7 +1,8 @@
 #include "search/spec.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
+#include <string_view>
 
 #include "support/fnv.h"
 #include "support/json.h"
@@ -20,11 +21,6 @@ std::uint32_t halving_rounds(std::size_t n) {
   return rounds;
 }
 
-/// Ladder value rendered for scenario-variant labels. Round-trip exact so
-/// two distinct ladder values can never collide into one label (labels
-/// are grid-cell identity).
-std::string input_label(double value) { return json_num_exact(value); }
-
 }  // namespace
 
 const char* search_controller_name(SearchControllerKind kind) {
@@ -32,15 +28,6 @@ const char* search_controller_name(SearchControllerKind kind) {
     case SearchControllerKind::kBisect: return "bisect";
     case SearchControllerKind::kGolden: return "golden";
     case SearchControllerKind::kHalving: return "halving";
-  }
-  return "?";
-}
-
-const char* search_input_name(SearchInput input) {
-  switch (input) {
-    case SearchInput::kTokenRate: return "token_rate";
-    case SearchInput::kEwmaAlpha: return "ewma_alpha";
-    case SearchInput::kBucketDepth: return "bucket_depth";
   }
   return "?";
 }
@@ -58,6 +45,13 @@ std::vector<double> SearchSpec::inputs() const {
   return values;
 }
 
+SweepAxis SearchSpec::ladder_axis() const {
+  SweepAxis axis{input, {}};
+  for (const double value : inputs())
+    axis.values.push_back(json_num_exact(value));
+  return axis;
+}
+
 std::string SearchSpec::validate(const SweepSpec& base) const {
   if (base.scenarios.size() != 1)
     return "search needs exactly one base scenario (got " +
@@ -65,35 +59,18 @@ std::string SearchSpec::validate(const SweepSpec& base) const {
   if (base.policies.size() != 1)
     return "search needs exactly one policy (got " +
            std::to_string(base.policies.size()) + ")";
-  if (base.ost_counts.size() > 1)
-    return "search cannot ride a multi-valued osts axis";
-  if (input == SearchInput::kTokenRate) {
-    if (!base.token_rates.empty())
-      return "searching token_rate: drop the [grid] token_rate axis (the "
-             "search ladder becomes that axis)";
-  } else if (base.token_rates.size() > 1) {
-    return "search cannot ride a multi-valued token_rate axis";
+  for (const SweepAxis& axis : base.axes) {
+    if (axis.key == input)
+      return "searching " + input + ": drop its " + axis.key +
+             " axis (the search ladder becomes that axis)";
+    if (axis.values.size() > 1)
+      return "search cannot ride a multi-valued " + axis.key + " axis";
   }
-  const std::vector<double> values = inputs();
-  if (values.size() < 2)
+  if (inputs().size() < 2)
     return "search ladder needs at least 2 distinct values (ladder = "
            "<comma list>, or lo/hi/points)";
-  for (const double value : values) {
-    switch (input) {
-      case SearchInput::kTokenRate:
-        if (value <= 0.0)
-          return "token_rate ladder values must be positive";
-        break;
-      case SearchInput::kEwmaAlpha:
-        if (!(value > 0.0 && value <= 1.0))
-          return "ewma_alpha ladder values must be in (0, 1]";
-        break;
-      case SearchInput::kBucketDepth:
-        if (value <= 0.0)
-          return "bucket_depth ladder values must be positive";
-        break;
-    }
-  }
+  const std::string invalid = validate_axis(ladder_axis());
+  if (!invalid.empty()) return "search input: " + invalid;
   if (slo.empty()) return "search needs an SLO (slo = p99_ms<=N, ...)";
   if (budget == 0) return "search budget must be >= 1";
   if (probe_repetitions == 0) return "probe_repetitions must be >= 1";
@@ -116,37 +93,22 @@ std::uint32_t SearchSpec::grid_repetitions() const {
 SweepSpec SearchSpec::probe_sweep(const SweepSpec& base) const {
   SweepSpec probe = base;
   probe.repetitions = grid_repetitions();
-  const std::vector<double> values = inputs();
-  if (input == SearchInput::kTokenRate) {
-    probe.token_rates = values;
-    return probe;
-  }
-  // Gain ladders become scenario variants: the outermost grid axis, one
-  // labeled copy of the base scenario per rung. Labels carry the exact
-  // value, so the grid hash (which folds in cell ids) fingerprints the
-  // ladder for the workers' hello.
-  const SweepScenario base_scenario = probe.scenarios.front();
-  probe.scenarios.clear();
-  probe.scenarios.reserve(values.size());
-  for (const double value : values) {
-    SweepScenario variant = base_scenario;
-    variant.label += "@";
-    variant.label += search_input_name(input);
-    variant.label += "=";
-    variant.label += input_label(value);
-    if (input == SearchInput::kEwmaAlpha)
-      variant.spec.ewma_alpha = value;
-    else
-      variant.spec.bucket_depth = value;
-    probe.scenarios.push_back(std::move(variant));
-  }
+  probe.axes.push_back(ladder_axis());
   return probe;
 }
 
 std::uint64_t SearchSpec::search_hash() const {
   Fnv1a fnv;
   fnv.u64(static_cast<std::uint64_t>(controller));
-  fnv.u64(static_cast<std::uint64_t>(input));
+  // Inputs older builds knew hash as their enum ordinals, so their
+  // journals still resume; any other key hashes its name.
+  const std::string_view ordinals[] = {"token_rate", "ewma_alpha",
+                                       "bucket_depth"};
+  const auto* it = std::find(std::begin(ordinals), std::end(ordinals), input);
+  if (it != std::end(ordinals))
+    fnv.u64(static_cast<std::uint64_t>(it - ordinals));
+  else
+    fnv.str(input);
   const std::vector<double> values = inputs();
   fnv.u64(values.size());
   for (const double value : values) fnv.f64(value);

@@ -3,7 +3,7 @@
 //
 // A search is layered ON a sweep file: the [sweep]/[grid] sections give
 // the base workload (exactly one scenario, one policy), and the [search]
-// section (search/search_io.h) — or CLI flags — pick an input variable,
+// section (search/search_io.h) — or CLI flags — pick an input key,
 // a candidate ladder, SLO thresholds, and a step controller. The probe
 // grid is the key trick: probe_sweep() materializes the ladder into an
 // ordinary SweepSpec axis, so every probe the controller can ever
@@ -37,20 +37,11 @@ enum class SearchControllerKind {
 
 [[nodiscard]] const char* search_controller_name(SearchControllerKind kind);
 
-/// Scenario fields a search can drive. The token rate rides the sweep
-/// grid's own token_rate axis; the controller gains become scenario
-/// variants labeled `<base>@<input>=<value>`.
-enum class SearchInput {
-  kTokenRate,
-  kEwmaAlpha,
-  kBucketDepth,
-};
-
-[[nodiscard]] const char* search_input_name(SearchInput input);
-
 struct SearchSpec {
   SearchControllerKind controller = SearchControllerKind::kBisect;
-  SearchInput input = SearchInput::kTokenRate;
+  /// The scenario key the ladder drives: any key a [grid] axis takes
+  /// (sweep/sweep_spec.h), `token_rate` included.
+  std::string input = "token_rate";
 
   /// Explicit candidate ladder (ascending after normalization). When
   /// empty, a uniform ladder of `points` values over [lo, hi] is used.
@@ -75,20 +66,23 @@ struct SearchSpec {
   /// The resolved ascending candidate ladder (explicit or generated).
   [[nodiscard]] std::vector<double> inputs() const;
 
+  /// inputs() as a grid axis on the input key. Rungs are written round-
+  /// trip exact, so two distinct rungs never share a cell label.
+  [[nodiscard]] SweepAxis ladder_axis() const;
+
   /// Validates the spec against its base sweep. Returns an error message
-  /// ("" = ok): the base must be a single scenario x single policy, the
-  /// searched axis must not already be swept, ladder values must be
-  /// legal for the input variable, and the SLO must be non-empty.
+  /// ("" = ok): one scenario x one policy, one-value axes none of which
+  /// sets the input, rungs the input key accepts, and a non-empty SLO.
   [[nodiscard]] std::string validate(const SweepSpec& base) const;
 
   /// Repetitions per ladder point the probe grid must hold: enough for
   /// the deepest adjusting round and for the testing stage.
   [[nodiscard]] std::uint32_t grid_repetitions() const;
 
-  /// The probe grid: `base` with the ladder materialized as a sweep axis
-  /// and repetitions = grid_repetitions(). Trial index of (ladder point
-  /// k, repetition j) is k * grid_repetitions() + j — the driver checks
-  /// this invariant against the expanded grid at startup.
+  /// The probe grid: `base` plus ladder_axis() and repetitions =
+  /// grid_repetitions(). Trial index of (ladder point k, repetition j) is
+  /// k * grid_repetitions() + j — the driver checks this invariant against
+  /// the expanded grid at startup.
   [[nodiscard]] SweepSpec probe_sweep(const SweepSpec& base) const;
 
   /// Fingerprint of everything that shapes the step sequence.

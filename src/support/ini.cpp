@@ -4,7 +4,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 
 namespace adaptbf {
 
@@ -15,6 +14,17 @@ std::string_view trim(std::string_view text) {
   while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back())))
     text.remove_suffix(1);
   return text;
+}
+
+std::vector<std::string> split_list(std::string_view text) {
+  std::vector<std::string> items;
+  while (true) {
+    const std::size_t comma = text.find(',');
+    const std::string_view item = trim(text.substr(0, comma));
+    if (!item.empty()) items.emplace_back(item);
+    if (comma == std::string_view::npos) return items;
+    text.remove_prefix(comma + 1);
+  }
 }
 
 bool parse_u64(std::string_view text, std::uint64_t& out) {
@@ -45,16 +55,6 @@ bool parse_double(std::string_view text, double& out) {
   out = value;
   return true;
 }
-
-namespace {
-std::string lower(std::string_view text) {
-  std::string out(text);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
-}
-}  // namespace
 
 std::optional<IniFile> IniFile::parse(std::string_view text,
                                       std::string* error) {
@@ -127,41 +127,12 @@ std::vector<std::string> IniFile::get_all(std::string_view section,
   return values;
 }
 
-std::optional<double> IniFile::get_double(std::string_view section,
-                                          std::string_view key) const {
-  const auto value = get(section, key);
-  if (!value.has_value()) return std::nullopt;
-  double parsed = 0.0;
-  if (!parse_double(*value, parsed)) return std::nullopt;
-  return parsed;
-}
-
-std::optional<std::int64_t> IniFile::get_int(std::string_view section,
-                                             std::string_view key) const {
-  const auto value = get(section, key);
-  if (!value.has_value()) return std::nullopt;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value->c_str(), &end, 10);
-  if (end != value->c_str() + value->size() || value->empty())
-    return std::nullopt;
-  return parsed;
-}
-
-std::optional<bool> IniFile::get_bool(std::string_view section,
-                                      std::string_view key) const {
-  const auto value = get(section, key);
-  if (!value.has_value()) return std::nullopt;
-  const std::string v = lower(*value);
-  if (v == "true" || v == "yes" || v == "on" || v == "1") return true;
-  if (v == "false" || v == "no" || v == "off" || v == "0") return false;
-  return std::nullopt;
-}
-
-std::vector<std::string> IniFile::keys(std::string_view section) const {
-  std::vector<std::string> names;
+std::vector<std::pair<std::string, std::string>> IniFile::entries(
+    std::string_view section) const {
+  std::vector<std::pair<std::string, std::string>> pairs;
   for (const auto& entry : entries_)
-    if (entry.section == section) names.push_back(entry.key);
-  return names;
+    if (entry.section == section) pairs.emplace_back(entry.key, entry.value);
+  return pairs;
 }
 
 }  // namespace adaptbf

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace adaptbf {
@@ -34,17 +35,9 @@ class IniFile {
   [[nodiscard]] std::vector<std::string> get_all(std::string_view section,
                                                  std::string_view key) const;
 
-  /// Typed accessors; return nullopt when missing OR malformed.
-  [[nodiscard]] std::optional<double> get_double(std::string_view section,
-                                                 std::string_view key) const;
-  [[nodiscard]] std::optional<std::int64_t> get_int(
-      std::string_view section, std::string_view key) const;
-  /// true/false, yes/no, on/off, 1/0 (case-insensitive).
-  [[nodiscard]] std::optional<bool> get_bool(std::string_view section,
-                                             std::string_view key) const;
-
-  /// Keys present in a section, in file order (with duplicates).
-  [[nodiscard]] std::vector<std::string> keys(std::string_view section) const;
+  /// A section's key/value pairs in file order (with duplicates).
+  [[nodiscard]] std::vector<std::pair<std::string, std::string>> entries(
+      std::string_view section) const;
 
  private:
   struct Entry {
@@ -59,9 +52,12 @@ class IniFile {
 /// Trims ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view text);
 
+/// Splits a comma list, trimming each item and dropping empty ones
+/// ("1, 2,,3" -> "1", "2", "3").
+[[nodiscard]] std::vector<std::string> split_list(std::string_view text);
+
 /// Strict numeric parsers shared by the scenario/sweep loaders: the whole
-/// string must be consumed, else false. (IniFile's typed getters wrap
-/// these; the loaders also need them for key=value word lists.)
+/// string must be consumed, else false.
 /// parse_double accepts plain decimal/scientific notation only and
 /// rejects non-finite results: "nan", "inf", hex floats, and overflowing
 /// exponents never reach a config value. On failure `out` is untouched.

@@ -18,23 +18,6 @@ SweepLoadResult fail(std::string message) {
   return result;
 }
 
-/// Splits a comma-separated value list, trimming each element.
-std::vector<std::string> split_list(std::string_view text) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string_view raw =
-        text.substr(start, comma == std::string_view::npos ? std::string_view::npos
-                                                           : comma - start);
-    const std::string_view item = trim(raw);
-    if (!item.empty()) items.emplace_back(item);
-    if (comma == std::string_view::npos) break;
-    start = comma + 1;
-  }
-  return items;
-}
-
 /// Builtin paper scenarios by short name. The control baked in here is a
 /// placeholder: expand() re-applies the policy axis per trial.
 std::optional<SweepScenario> builtin_scenario(std::string_view name) {
@@ -72,18 +55,15 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
   static const std::unordered_set<std::string> known_sweep_keys{  // adaptbf-lint: allow(unordered-output)
       "name",      "policies",        "scenario", "repetitions",
       "base_seed", "start_jitter_ms", "duration_s"};
-  static const std::unordered_set<std::string> known_grid_keys{  // adaptbf-lint: allow(unordered-output)
-      "osts", "token_rate"};
   static const std::unordered_set<std::string> known_output_keys{  // adaptbf-lint: allow(unordered-output)
       "csv", "json", "jsonl"};
   for (const auto& section : ini->sections()) {
     const std::unordered_set<std::string>* known = nullptr;  // adaptbf-lint: allow(unordered-output)
     if (section == "sweep") known = &known_sweep_keys;
-    else if (section == "grid") known = &known_grid_keys;
     else if (section == "output") known = &known_output_keys;
-    else if (section == "search") continue;  // search_io.h owns its grammar.
+    else if (section == "grid" || section == "search") continue;  // Below.
     else return fail("unknown section [" + section + "]");
-    for (const auto& key : ini->keys(section))
+    for (const auto& [key, value] : ini->entries(section))
       if (!known->contains(key))
         return fail("unknown key '" + key + "' in [" + section + "]");
   }
@@ -136,34 +116,29 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
     if (!parse_u64(*seed, value)) return fail("bad base_seed");
     spec.base_seed = value;
   }
-  if (auto jitter = ini->get_double("sweep", "start_jitter_ms")) {
-    if (*jitter < 0.0) return fail("start_jitter_ms must be >= 0");
-    spec.start_jitter = SimDuration::from_seconds(*jitter / 1e3);
-  } else if (ini->get("sweep", "start_jitter_ms")) {
-    return fail("bad start_jitter_ms");
-  }
-  if (auto duration = ini->get_double("sweep", "duration_s")) {
-    if (*duration <= 0.0) return fail("duration_s must be positive");
-    spec.duration_override = SimDuration::from_seconds(*duration);
-  } else if (ini->get("sweep", "duration_s")) {
-    return fail("bad duration_s");
+  if (auto jitter = ini->get("sweep", "start_jitter_ms")) {
+    double ms = 0.0;
+    // At most 1e9 s, as every scenario duration (SimDuration ends at 9.2e9 s).
+    if (!parse_double(*jitter, ms) || !(ms >= 0.0 && ms <= 1e12))
+      return fail("start_jitter_ms must be a number in [0, 1e12]");
+    spec.start_jitter = SimDuration::from_seconds(ms / 1e3);
   }
 
-  if (auto osts = ini->get("grid", "osts")) {
-    for (const auto& item : split_list(*osts)) {
-      std::uint64_t value = 0;
-      if (!parse_u64(item, value) || value == 0)
-        return fail("bad osts value '" + item + "'");
-      spec.ost_counts.push_back(static_cast<std::uint32_t>(value));
-    }
+  // [sweep] duration_s is a one-value axis ahead of the [grid] axes,
+  // which run in file order.
+  if (auto duration = ini->get("sweep", "duration_s")) {
+    SweepAxis axis{"duration_s", {*duration}};
+    const std::string error = validate_axis(axis);
+    if (!error.empty()) return fail("[sweep] " + error);
+    spec.axes.push_back(std::move(axis));
   }
-  if (auto rates = ini->get("grid", "token_rate")) {
-    for (const auto& item : split_list(*rates)) {
-      double value = 0.0;
-      if (!parse_double(item, value) || value <= 0.0)
-        return fail("bad token_rate value '" + item + "'");
-      spec.token_rates.push_back(value);
-    }
+  for (const auto& [key, list] : ini->entries("grid")) {
+    SweepAxis axis{key, split_list(list)};
+    const std::string error = validate_axis(axis);
+    if (!error.empty()) return fail("[grid] " + error);
+    for (const SweepAxis& earlier : spec.axes)
+      if (earlier.key == key) return fail("[grid] " + key + " is set twice");
+    spec.axes.push_back(std::move(axis));
   }
 
   SweepLoadResult result;
@@ -171,15 +146,7 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
     // Forward the raw entries in file order (duplicate keys included —
     // the search layer rejects them by name).
     result.search_section = true;
-    const std::vector<std::string> search_keys = ini->keys("search");
-    for (std::size_t i = 0; i < search_keys.size(); ++i) {
-      const std::string& key = search_keys[i];
-      std::size_t occurrence = 0;
-      for (std::size_t j = 0; j < i; ++j)
-        if (search_keys[j] == key) ++occurrence;
-      result.search_entries.emplace_back(
-          key, ini->get_all("search", key)[occurrence]);
-    }
+    result.search_entries = ini->entries("search");
   }
   if (auto csv = ini->get("output", "csv")) result.csv_path = *csv;
   if (auto json = ini->get("output", "json")) result.json_path = *json;

@@ -10,11 +10,12 @@
 //   repetitions = 4                 ; seeded repetitions per grid cell
 //   base_seed = 42
 //   start_jitter_ms = 200           ; optional per-process start jitter
-//   duration_s = 20                 ; optional campaign-wide duration cap
+//   duration_s = 20                 ; optional: a one-value duration_s axis
 //
-//   [grid]                          ; optional extra axes
-//   osts = 1, 2
-//   token_rate = 1200, 1600
+//   [grid]                          ; optional axes, outermost first
+//   osts = 1, 2                     ; any [scenario]/[server]/[client] key
+//   observation_ms = 50, 100        ; of scenario_io.h but name and control
+//   token_rate = 1200, 1600         ; (token_rate sets max_token_rate)
 //
 //   [output]                        ; optional default export paths
 //   csv = campaign.csv
@@ -24,6 +25,7 @@
 // Builtin scenario names: token_allocation, redistribution,
 // recompensation (the paper's §IV-D/E/F workloads). Any other value is
 // treated as a scenario file path, resolved relative to the sweep file.
+// docs/sweep_cli.md gives the [grid] grammar and its cell labels.
 // Unknown sections/keys are errors, same stance as scenario_io.h.
 #pragma once
 

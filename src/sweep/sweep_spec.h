@@ -1,7 +1,7 @@
 // Declarative multi-trial experiment campaigns.
 //
 // A SweepSpec is a parameter grid over ScenarioSpec fields: the cross
-// product of base scenarios x control policies x OST counts x token rates,
+// product of base scenarios x control policies x scenario-key axes,
 // repeated over seeded repetitions. expand() materializes the grid into a
 // flat trial list with dense indices; the runner executes trials in any
 // order and the aggregator groups them back into grid cells. Everything
@@ -27,7 +27,7 @@ struct SweepScenario {
 /// One fully materialized run: grid coordinates plus the concrete spec.
 struct TrialSpec {
   std::size_t index = 0;        ///< Dense [0, trial_count), row-major.
-  std::string scenario;         ///< SweepScenario label.
+  std::string scenario;         ///< Label; docs/sweep_cli.md#grid-axes.
   BwControl policy = BwControl::kNone;
   std::uint32_t num_osts = 1;
   double max_token_rate = -1.0;  ///< <= 0: derived from the disk model.
@@ -40,15 +40,29 @@ struct TrialSpec {
   [[nodiscard]] std::string cell_id() const;
 };
 
+/// One grid axis: a workload/scenario_io.h key other than name and
+/// control, with `token_rate` as the one spelling of max_token_rate, and
+/// its values in file order, applied through apply_scenario_key as a
+/// scenario file's are.
+struct SweepAxis {
+  std::string key;
+  std::vector<std::string> values;
+};
+
+/// "" when `axis` has a grid key and values that all parse and are in
+/// range; else an error naming the key.
+[[nodiscard]] std::string validate_axis(const SweepAxis& axis);
+
 struct SweepSpec {
   std::string name = "sweep";
   std::vector<SweepScenario> scenarios;
   /// Policies to run each scenario under. Must be non-empty to expand.
   std::vector<BwControl> policies;
-  /// Optional OST-count axis; empty keeps each scenario's own num_osts.
-  std::vector<std::uint32_t> ost_counts;
-  /// Optional token-rate axis (tokens/s); empty keeps the spec's value.
-  std::vector<double> token_rates;
+  /// Scenario-key axes, outermost first, all inside the policy axis.
+  /// `osts` and `token_rate` fill the trial's own fields and the grid
+  /// hash covers the duration; every other axis, and a duration_s axis
+  /// with two or more values, labels its cells `<scenario>@<key>=<value>`.
+  std::vector<SweepAxis> axes;
   /// Seeded repetitions per grid cell.
   std::uint32_t repetitions = 1;
   /// Base seed; repetition r uses derive_stream_seed(base_seed, r), so the
@@ -60,14 +74,11 @@ struct SweepSpec {
   /// per-seed variability even for scenarios with no Poisson processes
   /// (real jobs never start in lockstep).
   SimDuration start_jitter{0};
-  /// When > 0, overrides every scenario's run duration (campaign-wide cap
-  /// so one long scenario cannot dominate wall time).
-  SimDuration duration_override{0};
 
   [[nodiscard]] std::size_t trial_count() const;
 
   /// Materializes the full grid, row-major over
-  /// scenario x policy x ost_count x token_rate x repetition.
+  /// scenario x policy x axes... x repetition.
   [[nodiscard]] std::vector<TrialSpec> expand() const;
 };
 

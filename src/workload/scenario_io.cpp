@@ -1,10 +1,15 @@
 #include "workload/scenario_io.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <cctype>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 
 #include "support/ini.h"
 
@@ -16,6 +21,50 @@ ScenarioLoadResult fail(std::string message) {
   ScenarioLoadResult result;
   result.error = std::move(message);
   return result;
+}
+
+/// The range a number, count or duration key accepts.
+struct Range {
+  double lo;
+  bool lo_open;
+  double hi;
+  const char* text;
+  [[nodiscard]] bool holds(double value) const {
+    return (lo_open ? value > lo : value >= lo) && value <= hi;
+  }
+};
+constexpr double kUnbounded = std::numeric_limits<double>::max();
+constexpr Range kPositive{0.0, true, kUnbounded, "> 0"};
+constexpr Range kNonNegative{0.0, false, kUnbounded, ">= 0"};
+constexpr Range kAtLeastOne{1.0, false, kUnbounded, ">= 1"};
+constexpr Range kFraction{0.0, true, 1.0, "in (0, 1]"};
+constexpr Range kCount{1.0, false, 4294967295.0, "in [1, 4294967295]"};
+/// Whole KiB whose size in bytes fits 32 bits.
+constexpr Range kKib{1.0, false, 4194303.0, "in [1, 4194303]"};
+
+/// A decimal integer in `range`.
+bool parse_count(std::string_view text, const Range& range,
+                 std::uint32_t& out) {
+  std::uint64_t value = 0;
+  if (!parse_u64(text, value) || !range.holds(static_cast<double>(value)))
+    return false;
+  out = static_cast<std::uint32_t>(value);
+  return true;
+}
+
+/// A duration written in 1/per_second s: in `range` before and after
+/// rounding to whole ns (1e-9 ms is not > 0), and at most 1e9 s
+/// (SimDuration's int64 ns end at 9.2e9 s).
+bool parse_duration(std::string_view text, const Range& range,
+                    double per_second, SimDuration& out) {
+  double value = 0.0;
+  if (!parse_double(text, value) || !range.holds(value) ||
+      value / per_second > 1e9)
+    return false;
+  const SimDuration parsed = SimDuration::from_seconds(value / per_second);
+  if (!range.holds(static_cast<double>(parsed.ns()))) return false;
+  out = parsed;
+  return true;
 }
 
 /// Parses "key=value key=value ..." word lists (the process = lines).
@@ -72,23 +121,16 @@ bool parse_process(std::string_view text, ProcessPattern& pattern,
     }
     return true;
   };
-  auto take_duration = [&](const char* sec_key, const char* ms_key,
-                           SimDuration& out) {
-    if (auto it = kv.find(sec_key); it != kv.end()) {
-      double seconds = 0.0;
-      if (!parse_double(it->second, seconds) || seconds < 0.0) {
-        error = std::string("bad duration for '") + sec_key + "'";
+  // `<name>_s` then `<name>_ms`; the later one wins.
+  auto take_duration = [&](const std::string& name, SimDuration& out) {
+    for (const auto& [suffix, per_second] : {std::pair{"_s", 1.0},
+                                             std::pair{"_ms", 1e3}}) {
+      const auto it = kv.find(name + suffix);
+      if (it != kv.end() &&
+          !parse_duration(it->second, kNonNegative, per_second, out)) {
+        error = "bad duration for '" + name + suffix + "'";
         return false;
       }
-      out = SimDuration::from_seconds(seconds);
-    }
-    if (auto it = kv.find(ms_key); it != kv.end()) {
-      double ms = 0.0;
-      if (!parse_double(it->second, ms) || ms < 0.0) {
-        error = std::string("bad duration for '") + ms_key + "'";
-        return false;
-      }
-      out = SimDuration::from_seconds(ms / 1e3);
     }
     return true;
   };
@@ -99,7 +141,7 @@ bool parse_process(std::string_view text, ProcessPattern& pattern,
     error = "count must be >= 1";
     return false;
   }
-  if (!take_duration("delay_s", "delay_ms", pattern.start_delay)) return false;
+  if (!take_duration("delay", pattern.start_delay)) return false;
   if (auto it = kv.find("random"); it != kv.end()) {
     if (it->second == "true") {
       pattern.locality = Locality::kRandom;
@@ -147,7 +189,7 @@ bool parse_process(std::string_view text, ProcessPattern& pattern,
       error = "burst process needs burst=N";
       return false;
     }
-    if (!take_duration("period_s", "period_ms", pattern.period)) return false;
+    if (!take_duration("period", pattern.period)) return false;
     if (pattern.period <= SimDuration(0)) {
       error = "burst process needs period_s/period_ms > 0";
       return false;
@@ -158,128 +200,151 @@ bool parse_process(std::string_view text, ProcessPattern& pattern,
   return false;
 }
 
+using Spec = ScenarioSpec;
+/// Where a key's value lives. The field's type picks the value kind:
+/// text, a policy word, a flag, a number, a count or a duration.
+using Field = std::variant<std::string*, BwControl*, bool*, double*,
+                           std::uint32_t*, SimDuration*>;
+
+/// One [scenario]/[server]/[client] key.
+struct ScenarioKey {
+  std::string_view section;
+  std::string_view name;
+  Range range;  ///< Numbers, counts and durations only.
+  /// Numbers and counts are stored times `unit` (MiB/s as B/s: 1048576);
+  /// durations are written in 1/`unit` s (ms: 1e3).
+  double unit;
+  Field (*field)(Spec&);
+};
+
+// The scenario keys, in scenario_to_ini's order. scripts/check_docs.sh
+// requires a docs/formats.md row for each.
+constexpr ScenarioKey kScenarioKeys[] = {
+    {"scenario", "name", {}, 1, [](Spec& s) -> Field { return &s.name; }},
+    {"scenario", "control", {}, 1,
+     [](Spec& s) -> Field { return &s.control; }},
+    {"scenario", "duration_s", kPositive, 1,
+     [](Spec& s) -> Field { return &s.duration; }},
+    {"scenario", "observation_ms", kPositive, 1e3,
+     [](Spec& s) -> Field { return &s.observation_period; }},
+    {"scenario", "apply_latency_ms", kNonNegative, 1e3,
+     [](Spec& s) -> Field { return &s.controller_apply_latency; }},
+    {"scenario", "stop_when_idle", {}, 1,
+     [](Spec& s) -> Field { return &s.stop_when_idle; }},
+    {"scenario", "timeline_bin_ms", kPositive, 1e3,
+     [](Spec& s) -> Field { return &s.timeline_bin; }},
+    // Omitted, T_i derives from the disk model (the spec holds -1).
+    {"scenario", "max_token_rate", kPositive, 1,
+     [](Spec& s) -> Field { return &s.max_token_rate; }},
+    {"scenario", "redistribution", {}, 1,
+     [](Spec& s) -> Field { return &s.enable_redistribution; }},
+    {"scenario", "recompensation", {}, 1,
+     [](Spec& s) -> Field { return &s.enable_recompensation; }},
+    {"scenario", "remainders", {}, 1,
+     [](Spec& s) -> Field { return &s.enable_remainders; }},
+    {"scenario", "bucket_depth", kAtLeastOne, 1,
+     [](Spec& s) -> Field { return &s.bucket_depth; }},
+    {"scenario", "ewma_estimator", {}, 1,
+     [](Spec& s) -> Field { return &s.use_ewma_estimator; }},
+    {"scenario", "ewma_alpha", kFraction, 1,
+     [](Spec& s) -> Field { return &s.ewma_alpha; }},
+    {"server", "osts", kCount, 1,
+     [](Spec& s) -> Field { return &s.num_osts; }},
+    {"server", "threads", kCount, 1,
+     [](Spec& s) -> Field { return &s.num_threads; }},
+    {"server", "seq_bandwidth_mibps", kPositive, 1024.0 * 1024.0,
+     [](Spec& s) -> Field { return &s.disk.seq_bandwidth; }},
+    {"server", "rand_bandwidth_mibps", kPositive, 1024.0 * 1024.0,
+     [](Spec& s) -> Field { return &s.disk.rand_bandwidth; }},
+    {"server", "overhead_us", kNonNegative, 1e6,
+     [](Spec& s) -> Field { return &s.disk.per_rpc_overhead; }},
+    {"client", "rpc_size_kib", kKib, 1024,
+     [](Spec& s) -> Field { return &s.rpc_size_bytes; }},
+    {"client", "max_inflight", kCount, 1,
+     [](Spec& s) -> Field { return &s.max_inflight_per_process; }},
+    {"client", "network_latency_us", kNonNegative, 1e6,
+     [](Spec& s) -> Field { return &s.network_latency; }},
+};
+
+/// Parses `text` strictly into the key's field and range-checks it.
+/// Returns "", or what was expected, leaving the field untouched.
+std::string parse(const ScenarioKey& key, Spec& spec, std::string_view text) {
+  const Field field = key.field(spec);
+  const Range& range = key.range;
+  double value = 0.0;
+  std::uint32_t count = 0;
+  if (auto* out = std::get_if<std::string*>(&field)) {
+    **out = text;
+  } else if (auto* control = std::get_if<BwControl*>(&field)) {
+    const std::optional<BwControl> parsed = bw_control_from_name(text);
+    if (!parsed.has_value()) return "none, static, adaptive or gift";
+    **control = *parsed;
+  } else if (auto* flag = std::get_if<bool*>(&field)) {
+    std::string word(text);
+    for (char& c : word)
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    const bool yes =
+        word == "true" || word == "yes" || word == "on" || word == "1";
+    if (!yes && word != "false" && word != "no" && word != "off" &&
+        word != "0")
+      return "true or false";
+    **flag = yes;
+  } else if (auto* integer = std::get_if<std::uint32_t*>(&field)) {
+    if (!parse_count(text, range, count))
+      return std::string("an integer ") + range.text;
+    **integer = count * static_cast<std::uint32_t>(key.unit);
+  } else if (auto* number = std::get_if<double*>(&field)) {
+    if (!parse_double(text, value) || !range.holds(value))
+      return std::string("a number ") + range.text;
+    **number = value * key.unit;
+  } else if (!parse_duration(text, range, key.unit,
+                             *std::get<SimDuration*>(field))) {
+    return std::string("a duration ") + range.text +
+           " (whole ns, at most 1e9 s)";
+  }
+  return "";
+}
+
+const ScenarioKey* find_key(std::string_view name) {
+  for (const ScenarioKey& key : kScenarioKeys)
+    if (key.name == name) return &key;
+  return nullptr;
+}
+
 }  // namespace
+
+std::string apply_scenario_key(ScenarioSpec& spec, std::string_view key,
+                               std::string_view value) {
+  const ScenarioKey* row = find_key(key);
+  if (row == nullptr) return "unknown scenario key '" + std::string(key) + "'";
+  const std::string expected = parse(*row, spec, value);
+  if (expected.empty()) return expected;
+  return std::string(key) + " = '" + std::string(value) + "': expected " +
+         expected;
+}
 
 ScenarioLoadResult load_scenario(std::string_view text) {
   std::string parse_error;
   const auto ini = IniFile::parse(text, &parse_error);
   if (!ini.has_value()) return fail("ini: " + parse_error);
 
-  static const std::unordered_set<std::string> known_scenario_keys{
-      "name", "control", "duration_s", "observation_ms", "apply_latency_ms",
-      "stop_when_idle", "timeline_bin_ms", "max_token_rate",
-      "redistribution", "recompensation", "remainders", "bucket_depth",
-      "ewma_estimator", "ewma_alpha"};
-  static const std::unordered_set<std::string> known_server_keys{
-      "osts", "threads", "seq_bandwidth_mibps", "rand_bandwidth_mibps",
-      "overhead_us"};
-  static const std::unordered_set<std::string> known_client_keys{
-      "rpc_size_kib", "max_inflight", "network_latency_us"};
-  static const std::unordered_set<std::string> known_job_keys{
-      "name", "nodes", "process"};
-
   ScenarioSpec spec;
   for (const auto& section : ini->sections()) {
-    if (section == "scenario") {
-      for (const auto& key : ini->keys(section))
-        if (!known_scenario_keys.contains(key))
-          return fail("unknown key '" + key + "' in [scenario]");
-    } else if (section == "server") {
-      for (const auto& key : ini->keys(section))
-        if (!known_server_keys.contains(key))
-          return fail("unknown key '" + key + "' in [server]");
-    } else if (section == "client") {
-      for (const auto& key : ini->keys(section))
-        if (!known_client_keys.contains(key))
-          return fail("unknown key '" + key + "' in [client]");
-    } else if (section.rfind("job.", 0) == 0) {
-      for (const auto& key : ini->keys(section))
-        if (!known_job_keys.contains(key))
-          return fail("unknown key '" + key + "' in [" + section + "]");
-    } else {
+    if (section.rfind("job.", 0) == 0) continue;  // [job.N], below.
+    if (std::none_of(std::begin(kScenarioKeys), std::end(kScenarioKeys),
+                     [&](const ScenarioKey& row) {
+                       return row.section == section;
+                     }))
       return fail("unknown section [" + section + "]");
+    for (const auto& [key, value] : ini->entries(section)) {
+      const ScenarioKey* row = find_key(key);
+      if (row == nullptr || row->section != section)
+        return fail("unknown key '" + key + "' in [" + section + "]");
+      if (ini->get_all(section, key).size() > 1)
+        return fail("duplicate key '" + key + "' in [" + section + "]");
+      const std::string error = apply_scenario_key(spec, key, value);
+      if (!error.empty()) return fail("[" + section + "] " + error);
     }
-  }
-
-  // [scenario]
-  if (auto name = ini->get("scenario", "name")) spec.name = *name;
-  if (auto control = ini->get("scenario", "control")) {
-    const auto parsed = bw_control_from_name(*control);
-    if (!parsed.has_value())
-      return fail("bad control '" + *control +
-                  "' (none|static|adaptive|gift)");
-    spec.control = *parsed;
-  }
-  if (auto duration = ini->get_double("scenario", "duration_s")) {
-    if (*duration <= 0.0) return fail("duration_s must be positive");
-    spec.duration = SimDuration::from_seconds(*duration);
-  } else if (ini->get("scenario", "duration_s")) {
-    return fail("bad duration_s");
-  }
-  if (auto period = ini->get_double("scenario", "observation_ms")) {
-    if (*period <= 0.0) return fail("observation_ms must be positive");
-    spec.observation_period = SimDuration::from_seconds(*period / 1e3);
-  }
-  if (auto latency = ini->get_double("scenario", "apply_latency_ms"))
-    spec.controller_apply_latency = SimDuration::from_seconds(*latency / 1e3);
-  if (auto stop = ini->get_bool("scenario", "stop_when_idle"))
-    spec.stop_when_idle = *stop;
-  if (auto bin = ini->get_double("scenario", "timeline_bin_ms"))
-    spec.timeline_bin = SimDuration::from_seconds(*bin / 1e3);
-  if (auto rate = ini->get_double("scenario", "max_token_rate"))
-    spec.max_token_rate = *rate;
-  if (auto flag = ini->get_bool("scenario", "redistribution"))
-    spec.enable_redistribution = *flag;
-  if (auto flag = ini->get_bool("scenario", "recompensation"))
-    spec.enable_recompensation = *flag;
-  if (auto flag = ini->get_bool("scenario", "remainders"))
-    spec.enable_remainders = *flag;
-  if (auto depth = ini->get_double("scenario", "bucket_depth")) {
-    if (*depth < 1.0) return fail("bucket_depth must be >= 1");
-    spec.bucket_depth = *depth;
-  }
-  if (auto flag = ini->get_bool("scenario", "ewma_estimator"))
-    spec.use_ewma_estimator = *flag;
-  if (auto alpha = ini->get_double("scenario", "ewma_alpha")) {
-    if (*alpha <= 0.0 || *alpha > 1.0)
-      return fail("ewma_alpha must be in (0, 1]");
-    spec.ewma_alpha = *alpha;
-  }
-
-  // [server]
-  if (auto osts = ini->get_int("server", "osts")) {
-    if (*osts < 1) return fail("osts must be >= 1");
-    spec.num_osts = static_cast<std::uint32_t>(*osts);
-  }
-  if (auto threads = ini->get_int("server", "threads")) {
-    if (*threads < 1) return fail("threads must be >= 1");
-    spec.num_threads = static_cast<std::uint32_t>(*threads);
-  }
-  if (auto bw = ini->get_double("server", "seq_bandwidth_mibps")) {
-    if (*bw <= 0.0) return fail("seq_bandwidth_mibps must be positive");
-    spec.disk.seq_bandwidth = *bw * 1024 * 1024;
-  }
-  if (auto bw = ini->get_double("server", "rand_bandwidth_mibps")) {
-    if (*bw <= 0.0) return fail("rand_bandwidth_mibps must be positive");
-    spec.disk.rand_bandwidth = *bw * 1024 * 1024;
-  }
-  if (auto overhead = ini->get_double("server", "overhead_us")) {
-    if (*overhead < 0.0) return fail("overhead_us must be non-negative");
-    spec.disk.per_rpc_overhead = SimDuration::from_seconds(*overhead / 1e6);
-  }
-
-  // [client]
-  if (auto size = ini->get_int("client", "rpc_size_kib")) {
-    if (*size < 1) return fail("rpc_size_kib must be >= 1");
-    spec.rpc_size_bytes = static_cast<std::uint32_t>(*size) * 1024;
-  }
-  if (auto inflight = ini->get_int("client", "max_inflight")) {
-    if (*inflight < 1) return fail("max_inflight must be >= 1");
-    spec.max_inflight_per_process = static_cast<std::uint32_t>(*inflight);
-  }
-  if (auto latency = ini->get_double("client", "network_latency_us")) {
-    if (*latency < 0.0) return fail("network_latency_us must be >= 0");
-    spec.network_latency = SimDuration::from_seconds(*latency / 1e6);
   }
 
   // [job.N]
@@ -289,12 +354,16 @@ ScenarioLoadResult load_scenario(std::string_view text) {
     std::uint64_t id = 0;
     if (!parse_u64(id_text, id) || id == 0 || id >= JobId::kInvalid)
       return fail("bad job id in [" + section + "]");
+    for (const auto& [key, value] : ini->entries(section))
+      if (key != "name" && key != "nodes" && key != "process")
+        return fail("unknown key '" + key + "' in [" + section + "]");
     JobSpec job;
     job.id = JobId(static_cast<std::uint32_t>(id));
     job.name = ini->get(section, "name").value_or("Job" + id_text);
-    if (auto nodes = ini->get_int(section, "nodes")) {
-      if (*nodes < 1) return fail("nodes must be >= 1 in [" + section + "]");
-      job.nodes = static_cast<std::uint32_t>(*nodes);
+    if (auto nodes = ini->get(section, "nodes")) {
+      if (!parse_count(*nodes, kCount, job.nodes))
+        return fail("[" + section + "] nodes = '" + *nodes +
+                    "': expected an integer " + kCount.text);
     }
     for (const auto& process_text : ini->get_all(section, "process")) {
       ProcessPattern pattern;
@@ -326,50 +395,38 @@ ScenarioLoadResult load_scenario_file(const std::string& path) {
 
 std::string scenario_to_ini(const ScenarioSpec& spec) {
   std::ostringstream out;
-  out << "[scenario]\n";
-  out << "name = " << spec.name << "\n";
-  out << "control = ";
-  switch (spec.control) {
-    case BwControl::kNone: out << "none"; break;
-    case BwControl::kStatic: out << "static"; break;
-    case BwControl::kAdaptive: out << "adaptive"; break;
-    case BwControl::kGift: out << "gift"; break;
+  out << std::boolalpha;
+  ScenarioSpec fields = spec;  // The key table addresses writable fields.
+  std::string_view section;
+  for (const ScenarioKey& key : kScenarioKeys) {
+    if (key.section != section) {
+      out << (section.empty() ? "[" : "\n[") << key.section << "]\n";
+      section = key.section;
+    }
+    const Field field = key.field(fields);
+    // A number outside its range is written by omitting the key: that is
+    // how a file says max_token_rate's -1 (derive T_i).
+    if (auto* number = std::get_if<double*>(&field);
+        number != nullptr && !key.range.holds(**number / key.unit))
+      continue;
+    out << key.name << " = ";
+    std::visit(
+        [&](auto* value) {
+          using T = std::remove_pointer_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, BwControl>)
+            out << bw_control_config_name(*value);
+          else if constexpr (std::is_same_v<T, SimDuration>)
+            out << value->to_seconds() * key.unit;
+          else if constexpr (std::is_same_v<T, std::uint32_t>)
+            out << *value / static_cast<std::uint32_t>(key.unit);
+          else if constexpr (std::is_same_v<T, double>)
+            out << *value / key.unit;
+          else
+            out << *value;
+        },
+        field);
+    out << "\n";
   }
-  out << "\n";
-  out << "duration_s = " << spec.duration.to_seconds() << "\n";
-  out << "observation_ms = " << spec.observation_period.to_seconds() * 1e3
-      << "\n";
-  out << "apply_latency_ms = "
-      << spec.controller_apply_latency.to_seconds() * 1e3 << "\n";
-  out << "stop_when_idle = " << (spec.stop_when_idle ? "true" : "false")
-      << "\n";
-  out << "timeline_bin_ms = " << spec.timeline_bin.to_seconds() * 1e3 << "\n";
-  if (spec.max_token_rate > 0.0)
-    out << "max_token_rate = " << spec.max_token_rate << "\n";
-  out << "redistribution = " << (spec.enable_redistribution ? "true" : "false")
-      << "\n";
-  out << "recompensation = " << (spec.enable_recompensation ? "true" : "false")
-      << "\n";
-  out << "remainders = " << (spec.enable_remainders ? "true" : "false")
-      << "\n";
-  out << "bucket_depth = " << spec.bucket_depth << "\n";
-  out << "ewma_estimator = " << (spec.use_ewma_estimator ? "true" : "false")
-      << "\n";
-  out << "ewma_alpha = " << spec.ewma_alpha << "\n";
-  out << "\n[server]\n";
-  out << "osts = " << spec.num_osts << "\n";
-  out << "threads = " << spec.num_threads << "\n";
-  out << "seq_bandwidth_mibps = " << spec.disk.seq_bandwidth / (1024 * 1024)
-      << "\n";
-  out << "rand_bandwidth_mibps = " << spec.disk.rand_bandwidth / (1024 * 1024)
-      << "\n";
-  out << "overhead_us = " << spec.disk.per_rpc_overhead.to_seconds() * 1e6
-      << "\n";
-  out << "\n[client]\n";
-  out << "rpc_size_kib = " << spec.rpc_size_bytes / 1024 << "\n";
-  out << "max_inflight = " << spec.max_inflight_per_process << "\n";
-  out << "network_latency_us = "
-      << spec.network_latency.to_seconds() * 1e6 << "\n";
   for (const auto& job : spec.jobs) {
     out << "\n[job." << job.id.value() << "]\n";
     out << "name = " << job.name << "\n";

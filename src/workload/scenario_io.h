@@ -4,7 +4,7 @@
 //
 //   [scenario]
 //   name = demo
-//   control = adaptive          ; none | static | adaptive
+//   control = adaptive          ; none | static | adaptive | gift
 //   duration_s = 30
 //   observation_ms = 100
 //   stop_when_idle = true
@@ -23,12 +23,15 @@
 //   [job.1]
 //   name = small
 //   nodes = 1
-//   ; process kinds: "continuous" and "burst". count= replicates the line.
+//   ; process kinds: "continuous", "burst" and "poisson". count=
+//   ; replicates the line.
 //   process = continuous total=1024 delay_s=0 count=4
 //   process = burst total=640 burst=64 period_s=5 delay_s=2 count=2 random=true
+//   process = poisson total=512 rate=40 seed=7
 //
-// Unknown sections/keys are errors: a typo silently ignored is a wrong
-// experiment silently run.
+// docs/formats.md lists every key with its range. Unknown sections and
+// keys, repeated keys and bad values are errors that name the key: a typo
+// silently ignored is a wrong experiment silently run.
 #pragma once
 
 #include <optional>
@@ -47,6 +50,13 @@ struct ScenarioLoadResult {
 
 /// Parses a scenario file's contents.
 [[nodiscard]] ScenarioLoadResult load_scenario(std::string_view text);
+
+/// Applies one [scenario]/[server]/[client] key to `spec`, parsed and
+/// range-checked as in a scenario file (and for every sweep grid axis).
+/// Returns "", or an error naming the key and leaving `spec` unchanged.
+[[nodiscard]] std::string apply_scenario_key(ScenarioSpec& spec,
+                                             std::string_view key,
+                                             std::string_view value);
 
 /// Reads and parses a scenario file from disk.
 [[nodiscard]] ScenarioLoadResult load_scenario_file(const std::string& path);

@@ -60,7 +60,7 @@ SweepSpec base_sweep() {
 SearchSpec search_spec() {
   SearchSpec spec;
   spec.controller = SearchControllerKind::kBisect;
-  spec.input = SearchInput::kTokenRate;
+  spec.input = "token_rate";
   spec.ladder = {100.0, 200.0, 400.0};
   spec.slo = parse_slo("p99_ms<=100").thresholds;
   spec.probe_repetitions = 1;

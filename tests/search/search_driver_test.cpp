@@ -60,7 +60,7 @@ SweepSpec base_sweep() {
 SearchSpec bisect_spec(double mibps_bound) {
   SearchSpec spec;
   spec.controller = SearchControllerKind::kBisect;
-  spec.input = SearchInput::kTokenRate;
+  spec.input = "token_rate";
   spec.ladder = {50.0, 100.0, 200.0, 400.0};
   Threshold cap;
   cap.metric = SearchMetric::kMibps;

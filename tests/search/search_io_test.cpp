@@ -29,7 +29,7 @@ TEST(SearchIo, FullSectionParsesEveryKey) {
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const SearchSpec& spec = *loaded.spec;
   EXPECT_EQ(spec.controller, SearchControllerKind::kGolden);
-  EXPECT_EQ(spec.input, SearchInput::kBucketDepth);
+  EXPECT_EQ(spec.input, "bucket_depth");
   EXPECT_EQ(spec.ladder, (std::vector<double>{8.0, 16.0, 32.0, 64.0}));
   ASSERT_EQ(spec.slo.size(), 2u);
   EXPECT_EQ(spec.slo[0].str(), "p95_ms<=120");
@@ -48,7 +48,7 @@ TEST(SearchIo, DefaultsFillEverythingButTheLadderAndSlo) {
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   const SearchSpec& spec = *loaded.spec;
   EXPECT_EQ(spec.controller, SearchControllerKind::kBisect);
-  EXPECT_EQ(spec.input, SearchInput::kTokenRate);
+  EXPECT_EQ(spec.input, "token_rate");
   EXPECT_EQ(spec.objective.metric, SearchMetric::kP99Ms);
   EXPECT_EQ(spec.pass_margin, 0.05);
   EXPECT_EQ(spec.budget, 32u);
@@ -86,7 +86,9 @@ TEST(SearchIo, RejectionsNameTheOffendingKey) {
       {{{"ladder", "400,800"}, {"slo", "p99_ms<=1"}, {"controller", "newton"}},
        "bad controller"},
       {{{"ladder", "400,800"}, {"slo", "p99_ms<=1"}, {"input", "latency"}},
-       "bad input"},
+       "input: unknown scenario key 'latency'"},
+      {{{"ladder", "0.5,2"}, {"slo", "p99_ms<=1"}, {"input", "bucket_depth"}},
+       "bucket_depth = '0.5'"},
       {{{"ladder", "400,oops"}, {"slo", "p99_ms<=1"}}, "bad ladder value"},
       {{{"ladder", ","}, {"slo", "p99_ms<=1"}}, "ladder list is empty"},
       {{{"ladder", "400,800"}, {"slo", "p99_ms<<1"}}, "slo:"},

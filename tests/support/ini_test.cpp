@@ -50,25 +50,6 @@ TEST(Ini, RepeatedKeysCollectInOrder) {
             (std::vector<std::string>{"first", "second", "third"}));
 }
 
-TEST(Ini, TypedAccessors) {
-  const auto file = IniFile::parse(
-      "[s]\n"
-      "d = 2.5\n"
-      "i = -42\n"
-      "t = yes\n"
-      "f = off\n"
-      "bad = zebra\n");
-  ASSERT_TRUE(file.has_value());
-  EXPECT_DOUBLE_EQ(*file->get_double("s", "d"), 2.5);
-  EXPECT_EQ(*file->get_int("s", "i"), -42);
-  EXPECT_TRUE(*file->get_bool("s", "t"));
-  EXPECT_FALSE(*file->get_bool("s", "f"));
-  EXPECT_FALSE(file->get_double("s", "bad").has_value());
-  EXPECT_FALSE(file->get_int("s", "d").has_value());  // 2.5 not an int
-  EXPECT_FALSE(file->get_bool("s", "bad").has_value());
-  EXPECT_FALSE(file->get_double("s", "missing").has_value());
-}
-
 TEST(Ini, ErrorsCarryLineNumbers) {
   std::string error;
   EXPECT_FALSE(IniFile::parse("[s]\nno equals here\n", &error).has_value());
@@ -85,10 +66,14 @@ TEST(Ini, EmptyFileIsValid) {
   EXPECT_TRUE(file->sections().empty());
 }
 
-TEST(Ini, KeysListsDuplicates) {
-  const auto file = IniFile::parse("[s]\na = 1\nb = 2\na = 3\n");
+TEST(Ini, EntriesKeepFileOrderAndDuplicates) {
+  const auto file =
+      IniFile::parse("[s]\na = 1\nb = 2\n[t]\nc = 4\n[s]\na = 3\n");
   ASSERT_TRUE(file.has_value());
-  EXPECT_EQ(file->keys("s"), (std::vector<std::string>{"a", "b", "a"}));
+  using Pair = std::pair<std::string, std::string>;
+  EXPECT_EQ(file->entries("s"),
+            (std::vector<Pair>{{"a", "1"}, {"b", "2"}, {"a", "3"}}));
+  EXPECT_TRUE(file->entries("missing").empty());
 }
 
 TEST(Trim, StripsBothEnds) {
@@ -119,14 +104,6 @@ TEST(ParseDouble, RejectsNonFiniteHexAndGarbage) {
     EXPECT_FALSE(parse_double(bad, v)) << "accepted '" << bad << "'";
     EXPECT_DOUBLE_EQ(v, 123.0) << "out modified by '" << bad << "'";
   }
-}
-
-TEST(ParseDouble, GetDoubleSharesTheStrictness) {
-  const auto ini = IniFile::parse("[s]\na = nan\nb = 0x1p4\nc = 2.5\n");
-  ASSERT_TRUE(ini.has_value());
-  EXPECT_FALSE(ini->get_double("s", "a").has_value());
-  EXPECT_FALSE(ini->get_double("s", "b").has_value());
-  EXPECT_DOUBLE_EQ(ini->get_double("s", "c").value(), 2.5);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "metrics/sweep_export.h"
 #include "sweep/sweep_aggregator.h"
+#include "sweep/sweep_io.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/trial_sink.h"
 
@@ -121,7 +122,7 @@ TEST(SweepGridHash, StableAndSensitive) {
   EXPECT_NE(sweep_grid_hash(trials), sweep_grid_hash(reseeded.expand()));
 
   SweepSpec longer = small_sweep();
-  longer.duration_override = SimDuration::seconds(3);
+  longer.axes.push_back({"duration_s", {"3"}});
   EXPECT_NE(sweep_grid_hash(trials), sweep_grid_hash(longer.expand()));
 
   SweepSpec fewer = small_sweep();
@@ -161,6 +162,30 @@ TEST(CampaignScan, RejectsForeignAndRegriddedJournals) {
   write_file(path, "scenario,policy\n1,2\n");
   scan = scan_campaign_file(path, sweep.name, trials);
   EXPECT_FALSE(scan.ok());
+  std::remove(path.c_str());
+}
+
+TEST(CampaignScan, EditedOneValueAxisRefusesTheJournal) {
+  // A one-value [grid] axis is part of every trial's identity: a sweep
+  // file edited from observation_ms = 50 to 1600 must not resume the
+  // journal of the 50 ms run.
+  const auto sweep_with = [](const std::string& observation_ms) {
+    return load_sweep("[sweep]\nname = edited\npolicies = adaptive\n"
+                      "scenario = token_allocation\nduration_s = 1\n"
+                      "[grid]\nobservation_ms = " +
+                      observation_ms + "\n")
+        .spec.value();
+  };
+  const SweepSpec sweep = sweep_with("50");
+  const auto trials = sweep.expand();
+  const std::string path = testing::TempDir() + "edited_axis.jsonl";
+  run_journaled(sweep, trials, path, 1);
+  EXPECT_TRUE(scan_campaign_file(path, sweep.name, trials).ok());
+
+  const CampaignScan scan =
+      scan_campaign_file(path, sweep.name, sweep_with("1600").expand());
+  EXPECT_FALSE(scan.ok());
+  EXPECT_NE(scan.error.find("different campaign grid"), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -54,15 +54,146 @@ json = out.json
   EXPECT_EQ(spec.repetitions, 4u);
   EXPECT_EQ(spec.base_seed, 42u);
   EXPECT_EQ(spec.start_jitter, SimDuration::millis(250));
-  EXPECT_EQ(spec.duration_override, SimDuration::seconds(30));
-  ASSERT_EQ(spec.ost_counts.size(), 3u);
-  EXPECT_EQ(spec.ost_counts[2], 4u);
-  ASSERT_EQ(spec.token_rates.size(), 2u);
-  EXPECT_DOUBLE_EQ(spec.token_rates[1], 1600.0);
+  // [sweep] duration_s is a one-value axis ahead of the [grid] axes.
+  ASSERT_EQ(spec.axes.size(), 3u);
+  EXPECT_EQ(spec.axes[0].key, "duration_s");
+  EXPECT_EQ(spec.axes[0].values, std::vector<std::string>{"30"});
+  EXPECT_EQ(spec.axes[1].key, "osts");
+  EXPECT_EQ(spec.axes[1].values, (std::vector<std::string>{"1", "2", "4"}));
+  EXPECT_EQ(spec.axes[2].key, "token_rate");
+  EXPECT_EQ(spec.axes[2].values, (std::vector<std::string>{"1200", "1600"}));
   EXPECT_EQ(loaded.csv_path, "out.csv");
   EXPECT_EQ(loaded.json_path, "out.json");
   // 3 scenarios x 2 policies x 3 osts x 2 rates x 4 reps.
   EXPECT_EQ(spec.trial_count(), 144u);
+}
+
+TEST(SweepIo, GridAxesExpandOutermostFirstWithStableCellIds) {
+  // Pinned: trial order and cell ids of an osts x token_rate grid. The
+  // policy axis is outermost, then the [grid] axes in file order, then
+  // the repetitions; both axes have their own cell-id fields.
+  const auto loaded = load_sweep(R"(
+[sweep]
+policies = static, adaptive
+scenario = token_allocation
+repetitions = 2
+
+[grid]
+osts = 1, 2, 4
+token_rate = 1200, 1600
+)");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const char* const cells[] = {
+      "token_allocation|Static BW|1|1200", "token_allocation|Static BW|1|1600",
+      "token_allocation|Static BW|2|1200", "token_allocation|Static BW|2|1600",
+      "token_allocation|Static BW|4|1200", "token_allocation|Static BW|4|1600",
+      "token_allocation|AdapTBF|1|1200",   "token_allocation|AdapTBF|1|1600",
+      "token_allocation|AdapTBF|2|1200",   "token_allocation|AdapTBF|2|1600",
+      "token_allocation|AdapTBF|4|1200",   "token_allocation|AdapTBF|4|1600",
+  };
+  const std::vector<TrialSpec> trials = loaded.spec->expand();
+  ASSERT_EQ(trials.size(), 24u);
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    const TrialSpec& trial = trials[i];
+    EXPECT_EQ(trial.index, i);
+    EXPECT_EQ(trial.cell_id(), cells[i / 2]) << "trial " << i;
+    EXPECT_EQ(trial.repetition, i % 2);
+    EXPECT_EQ(trial.scenario, "token_allocation");
+    EXPECT_EQ(trial.spec.name, "token_allocation");
+    EXPECT_EQ(trial.spec.num_osts, trial.num_osts);
+    EXPECT_EQ(trial.spec.max_token_rate, trial.max_token_rate);
+  }
+}
+
+TEST(SweepIo, GridTakesAnyScenarioKeyAndLabelsItsCells) {
+  const auto loaded = load_sweep(R"(
+[sweep]
+policies = adaptive
+scenario = recompensation
+duration_s = 20
+repetitions = 2
+
+[grid]
+redistribution = true, false
+observation_ms = 50, 200
+apply_latency_ms = 25
+)");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const std::vector<TrialSpec> trials = loaded.spec->expand();
+  ASSERT_EQ(trials.size(), 8u);
+  // File order, outermost first. A one-value axis labels too, so that
+  // editing it changes the grid hash; [sweep] duration_s is hashed as the
+  // spec's duration instead.
+  const char* const labels[] = {
+      "recompensation@redistribution=true@observation_ms=50"
+      "@apply_latency_ms=25",
+      "recompensation@redistribution=true@observation_ms=200"
+      "@apply_latency_ms=25",
+      "recompensation@redistribution=false@observation_ms=50"
+      "@apply_latency_ms=25",
+      "recompensation@redistribution=false@observation_ms=200"
+      "@apply_latency_ms=25",
+  };
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    const TrialSpec& trial = trials[i];
+    EXPECT_EQ(trial.scenario, labels[i / 2]);
+    EXPECT_EQ(trial.spec.name, labels[i / 2]);
+    EXPECT_EQ(trial.cell_id(), std::string(labels[i / 2]) + "|AdapTBF|1|-1");
+    EXPECT_EQ(trial.repetition, i % 2);
+    EXPECT_EQ(trial.spec.enable_redistribution, i < 4);
+    EXPECT_EQ(trial.spec.observation_period,
+              SimDuration::millis(i % 4 < 2 ? 50 : 200));
+    EXPECT_EQ(trial.spec.controller_apply_latency, SimDuration::millis(25));
+    EXPECT_EQ(trial.spec.duration, SimDuration::seconds(20));
+  }
+}
+
+TEST(SweepIo, BadAxesFailNamingTheKey) {
+  const struct {
+    const char* sweep;
+    const char* grid;
+    const char* needle;
+  } cases[] = {
+      {"", "osts = 4294967296", "osts"},
+      {"", "osts = 2, 2.5", "osts"},
+      {"", "bucket_depth = 0.5", "bucket_depth"},
+      {"", "timeline_bin_ms = 0", "timeline_bin_ms"},
+      {"", "token_rate = 0", "token_rate"},
+      {"", "observation_ms =", "observation_ms"},
+      {"", "name = a, b", "name"},
+      {"", "control = static", "control"},
+      {"", "speed = 1, 2", "speed"},
+      {"", "max_token_rate = 900", "'max_token_rate' is the token_rate axis"},
+      {"", "osts = 1\nosts = 2", "osts is set twice"},
+      {"duration_s = 0\n", "", "duration_s"},
+      {"duration_s = 10\n", "duration_s = 5, 20", "duration_s"},
+  };
+  for (const auto& bad : cases) {
+    const auto loaded = load_sweep(
+        std::string("[sweep]\npolicies = none\nscenario = token_allocation\n") +
+        bad.sweep + "[grid]\n" + bad.grid + "\n");
+    EXPECT_FALSE(loaded.ok()) << "accepted " << bad.sweep << bad.grid;
+    EXPECT_NE(loaded.error.find(bad.needle), std::string::npos)
+        << loaded.error;
+  }
+}
+
+TEST(SweepIo, StartJitterIsBoundedLikeEveryDuration) {
+  const auto with_jitter = [](const char* jitter_ms) {
+    return load_sweep(
+        std::string("[sweep]\npolicies = none\nscenario = token_allocation\n"
+                    "start_jitter_ms = ") +
+        jitter_ms + "\n");
+  };
+  // At most 1e9 s; 1e300 ms used to overflow SimDuration's int64 ns.
+  EXPECT_EQ(with_jitter("1e12").spec.value().start_jitter,
+            SimDuration::seconds(1000000000));
+  for (const char* bad : {"1e300", "1.000001e12", "-1", "inf", "soon"}) {
+    const SweepLoadResult loaded = with_jitter(bad);
+    EXPECT_FALSE(loaded.ok()) << bad;
+    EXPECT_NE(loaded.error.find("start_jitter_ms"), std::string::npos)
+        << loaded.error;
+  }
 }
 
 TEST(SweepIo, MissingPoliciesFails) {

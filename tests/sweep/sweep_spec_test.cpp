@@ -27,7 +27,7 @@ SweepSpec tiny_sweep() {
   sweep.scenarios.push_back({"a", tiny_scenario()});
   sweep.scenarios.push_back({"b", tiny_scenario()});
   sweep.policies = {BwControl::kNone, BwControl::kAdaptive};
-  sweep.ost_counts = {1, 2};
+  sweep.axes = {{"osts", {"1", "2"}}};
   sweep.repetitions = 3;
   sweep.base_seed = 5;
   return sweep;
@@ -65,8 +65,8 @@ TEST(SweepSpec, IndicesAreDenseAndRowMajor) {
 
 TEST(SweepSpec, GridCoordinatesAreApplied) {
   SweepSpec sweep = tiny_sweep();
-  sweep.token_rates = {800.0};
-  sweep.duration_override = SimDuration::seconds(1);
+  sweep.axes.push_back({"token_rate", {"800"}});
+  sweep.axes.push_back({"duration_s", {"1"}});
   const auto trials = sweep.expand();
   for (const auto& trial : trials) {
     EXPECT_EQ(trial.spec.control, trial.policy);

@@ -83,6 +83,32 @@ expect run-extra-operand         2 "unexpected argument" \
 expect serve-missing-value       2 "--listen needs a value" \
   -- serve "$paper_ini" --listen
 
+# A ladder rung the input key's range rejects fails validation by key
+# name (exit 1) before any probe runs; bucket_depth = 0.5 once reached an
+# ADAPTBF_CHECK in the rule daemon.
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+cat >"$scratch/depth.ini" <<'INI'
+[sweep]
+policies = adaptive
+scenario = token_allocation
+duration_s = 1
+
+[search]
+input = bucket_depth
+ladder = 0.5, 2, 4
+slo = p99_ms<=500
+INI
+expect search-rung-out-of-range  1 "bucket_depth = '0.5'" \
+  -- search --output "$scratch/depth.jsonl" "$scratch/depth.ini"
+
+# A worker expands the same probe grid, so it checks the input key the
+# same way before it connects.
+sed 's/^input = .*/input = bucket_dept/' "$scratch/depth.ini" \
+  >"$scratch/typo.ini"
+expect work-unknown-input        1 "unknown scenario key 'bucket_dept'" \
+  -- work --connect 127.0.0.1:9 "$scratch/typo.ini"
+
 # stats prints one format: --json and --prom together are a usage error.
 expect stats-json-and-prom       2 "--json and --prom are mutually exclusive" \
   -- stats 127.0.0.1:7001 --json --prom

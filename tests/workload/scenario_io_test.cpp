@@ -108,6 +108,101 @@ TEST(ScenarioIo, RejectsBadValues) {
   EXPECT_FALSE(load_scenario("[job.abc]\nprocess = continuous total=1\n").ok());
 }
 
+/// Loads a one-job scenario with `lines` prepended; the load must fail
+/// with an error that names `key`.
+void expect_rejected(const std::string& lines, const std::string& key) {
+  const auto result =
+      load_scenario(lines + "\n[job.1]\nprocess = continuous total=1\n");
+  EXPECT_FALSE(result.ok()) << "accepted: " << lines;
+  EXPECT_NE(result.error.find(key), std::string::npos) << result.error;
+}
+
+// Malformed values are errors, one case per value kind. Earlier loaders
+// fell back to the default for each of these.
+TEST(ScenarioIo, MalformedDurationIsAnError) {
+  expect_rejected("[scenario]\nobservation_ms = 10ms", "observation_ms");
+  expect_rejected("[server]\noverhead_us = fast", "overhead_us");
+}
+
+TEST(ScenarioIo, MalformedFlagIsAnError) {
+  expect_rejected("[scenario]\nredistribution = maybe", "redistribution");
+  expect_rejected("[scenario]\nstop_when_idle = 2", "stop_when_idle");
+}
+
+TEST(ScenarioIo, MalformedCountIsAnError) {
+  expect_rejected("[server]\nthreads = 8x", "threads");
+  expect_rejected("[client]\nmax_inflight = 4.5", "max_inflight");
+  const auto nodes = load_scenario(
+      "[job.1]\nnodes = 2.5\nprocess = continuous total=1\n");
+  EXPECT_FALSE(nodes.ok());
+  EXPECT_NE(nodes.error.find("nodes"), std::string::npos) << nodes.error;
+}
+
+TEST(ScenarioIo, MalformedNumberIsAnError) {
+  expect_rejected("[scenario]\nbucket_depth = three", "bucket_depth");
+  expect_rejected("[server]\nseq_bandwidth_mibps = 1e999",
+                  "seq_bandwidth_mibps");
+}
+
+TEST(ScenarioIo, OutOfRangeValuesAreErrorsNotAborts) {
+  // Each of these once wrapped or reached an ADAPTBF_CHECK at run time.
+  expect_rejected("[server]\nosts = 4294967296", "osts");
+  expect_rejected("[server]\nosts = 4294967297", "osts");
+  expect_rejected("[server]\nthreads = 4294967296", "threads");
+  expect_rejected("[client]\nmax_inflight = 4294967296", "max_inflight");
+  expect_rejected("[client]\nrpc_size_kib = 4194304", "rpc_size_kib");
+  expect_rejected("[scenario]\ntimeline_bin_ms = 0", "timeline_bin_ms");
+  expect_rejected("[scenario]\ntimeline_bin_ms = 1e-9", "timeline_bin_ms");
+  expect_rejected("[scenario]\nduration_s = 1e300", "duration_s");
+  expect_rejected("[scenario]\napply_latency_ms = -5", "apply_latency_ms");
+  expect_rejected("[scenario]\nmax_token_rate = 0", "max_token_rate");
+  expect_rejected("[scenario]\nmax_token_rate = -1", "max_token_rate");
+  expect_rejected("[scenario]\newma_alpha = 1.5", "ewma_alpha");
+  expect_rejected("[scenario]\nbucket_depth = 0.5", "bucket_depth");
+}
+
+TEST(ScenarioIo, RangeEdgesAreAccepted) {
+  const auto result = load_scenario(
+      "[scenario]\napply_latency_ms = 0\newma_alpha = 1\n"
+      "bucket_depth = 1\nmax_token_rate = 0.5\n"
+      "[client]\nrpc_size_kib = 4194303\n"
+      "[job.1]\nprocess = continuous total=1\n");
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.spec->rpc_size_bytes, 4194303u * 1024);
+  EXPECT_EQ(result.spec->max_token_rate, 0.5);
+}
+
+TEST(ScenarioIo, DuplicateKeysAreErrors) {
+  expect_rejected("[scenario]\nbucket_depth = 2\nbucket_depth = 4",
+                  "duplicate key 'bucket_depth'");
+}
+
+TEST(ScenarioIo, ApplyScenarioKeyParsesLikeAFile) {
+  ScenarioSpec spec;
+  EXPECT_EQ(apply_scenario_key(spec, "observation_ms", "250"), "");
+  EXPECT_EQ(spec.observation_period, SimDuration::millis(250));
+  // Flags read true/yes/on/1 and false/no/off/0, in any case.
+  for (const char* word : {"off", "0", "No", "FALSE"}) {
+    spec.enable_redistribution = true;
+    EXPECT_EQ(apply_scenario_key(spec, "redistribution", word), "") << word;
+    EXPECT_FALSE(spec.enable_redistribution) << word;
+  }
+  for (const char* word : {"yes", "on", "1", "TRUE", "On"}) {
+    spec.enable_redistribution = false;
+    EXPECT_EQ(apply_scenario_key(spec, "redistribution", word), "") << word;
+    EXPECT_TRUE(spec.enable_redistribution) << word;
+  }
+  EXPECT_EQ(apply_scenario_key(spec, "rpc_size_kib", "64"), "");
+  EXPECT_EQ(spec.rpc_size_bytes, 64u * 1024);
+
+  // A rejected value names the key and leaves the spec unchanged.
+  const std::string error = apply_scenario_key(spec, "ewma_alpha", "0");
+  EXPECT_NE(error.find("ewma_alpha"), std::string::npos) << error;
+  EXPECT_EQ(spec.ewma_alpha, ScenarioSpec{}.ewma_alpha);
+  EXPECT_NE(apply_scenario_key(spec, "speed", "9").find("speed"),
+            std::string::npos);
+}
+
 TEST(ScenarioIo, RejectsBadProcessLines) {
   EXPECT_FALSE(load_scenario("[job.1]\nprocess = burst total=10\n").ok());
   EXPECT_FALSE(
