@@ -13,6 +13,9 @@
 #      exist, relative to the repo root or to the naming file
 #   7. every key in scenario_io.cpp's key table must have a row in the
 #      scenario key list of docs/formats.md
+#   8. every backticked `name()` or `Type::name()` in docs/*.md and
+#      README.md must name identifiers that appear under src/, bench/,
+#      examples/ or perfbench/cpp/
 #
 # Mentioning a header is a low bar on purpose: the check catches "we
 # added a subsystem and never documented it", not prose quality.
@@ -89,6 +92,20 @@ while IFS= read -r key; do
     fail=1
   fi
 done <<<"$keys"
+
+# A renamed or deleted function leaves its docs behind; each `::` part of
+# the mention must still be a word somewhere in the code.
+calls=$(grep -ohE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)*\(\)`' \
+  docs/*.md README.md | tr -d '`()' | sort -u || true)
+while IFS= read -r call; do
+  [ -n "$call" ] || continue
+  for id in ${call//::/ }; do
+    if ! grep -rqw -- "$id" src bench examples perfbench/cpp; then
+      echo "docs check: the docs name \`$call()\`, but '$id' is not in the code" >&2
+      fail=1
+    fi
+  done
+done <<<"$calls"
 
 if [ "$fail" -eq 0 ]; then
   echo "docs check: OK"

@@ -38,20 +38,6 @@ std::unique_ptr<IoPattern> build_pattern(const ProcessPattern& pattern) {
 
 }  // namespace
 
-std::size_t estimate_peak_events(const ScenarioSpec& spec) {
-  std::size_t processes = 0;
-  for (const auto& job : spec.jobs) processes += job.processes.size();
-  // Per process: the next pattern release plus one pending event per
-  // inflight RPC (each RPC holds at most one — its current network or
-  // service stage). Per OST: disk completion, token/queue wakeups bounded
-  // by service threads, and a few controller/daemon periodics.
-  const std::size_t per_process = spec.max_inflight_per_process + 2;
-  const std::size_t per_ost = spec.num_threads + 8;
-  const std::size_t estimate =
-      processes * per_process + spec.num_osts * per_ost + 64;
-  return std::max<std::size_t>(estimate, 256);
-}
-
 std::vector<std::pair<JobId, std::string>> ExperimentResult::job_labels()
     const {
   std::vector<std::pair<JobId, std::string>> labels;

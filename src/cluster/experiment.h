@@ -92,14 +92,6 @@ struct ExperimentOptions {
   }
 };
 
-/// Scenario-derived bound on concurrently pending events, used to pre-size
-/// the trial's event arena: per process one arrival/wakeup plus one event
-/// per inflight RPC stage, per OST a disk completion, thread wakeups, and
-/// the control daemon's periodics, plus slack for transients. Replaces the
-/// old hard-coded 4096, which over-reserved small scenarios 30x and
-/// under-reserved million-client ones.
-[[nodiscard]] std::size_t estimate_peak_events(const ScenarioSpec& spec);
-
 /// Runs one scenario to its horizon. Deterministic: equal specs give
 /// bit-identical results.
 [[nodiscard]] ExperimentResult run_experiment(const ScenarioSpec& spec,

@@ -71,6 +71,9 @@ std::string SearchSpec::validate(const SweepSpec& base) const {
            "<comma list>, or lo/hi/points)";
   const std::string invalid = validate_axis(ladder_axis());
   if (!invalid.empty()) return "search input: " + invalid;
+  if (const std::string error = validate_cells(probe_sweep(base));
+      !error.empty())
+    return "search input: " + error;
   if (slo.empty()) return "search needs an SLO (slo = p99_ms<=N, ...)";
   if (budget == 0) return "search budget must be >= 1";
   if (probe_repetitions == 0) return "probe_repetitions must be >= 1";

@@ -17,12 +17,11 @@
 // heap only for oversized captures (counted per queue in
 // Stats::callback_heap_spills).
 //
-// Dispatch is batched (pop_batch / collect_staged): the whole cohort of
-// events sharing the earliest fire time leaves the heap with one bulk
-// repair instead of one sift per event. Staged events keep their slots
-// until collected, so a callback dispatched early in a batch may still
-// cancel a same-timestamp event staged behind it, and the dispatch order
-// is exactly the (time, seq) order.
+// Dispatch pops one event at a time (pop): the heap root leaves the heap
+// and its slot is released before the callback runs, so the callback sees
+// its own handle as stale. The dispatch order is exactly the (time, seq)
+// order: a same-time event scheduled from a callback draws a larger
+// sequence number than every pending one, and cancel() unlinks eagerly.
 #pragma once
 
 #include <cstddef>
@@ -155,26 +154,20 @@ class EventQueue {
 
   /// Cancels a pending event with no hashing, in O(log4 n). Returns false
   /// if the handle is stale (event already fired or already cancelled).
-  /// Cancelling an event staged by pop_batch but not yet collected
-  /// succeeds: it never fires.
   bool cancel(EventHandle handle);
 
-  /// True while the referenced event is still pending (staged-but-not-yet-
-  /// collected events included).
+  /// True while the referenced event is still pending.
   [[nodiscard]] bool pending(EventHandle handle) const {
     return handle.valid() && handle.index < slots_.size() &&
            slots_[handle.index].generation == handle.generation;
   }
 
-  [[nodiscard]] bool empty() const { return live() == 0; }
-  /// Pending events: heap plus staged-but-uncollected.
-  [[nodiscard]] std::size_t live() const {
-    return heap_.size() + staged_live_;
-  }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  /// Pending events.
+  [[nodiscard]] std::size_t live() const { return heap_.size(); }
 
-  /// Time of the earliest event in the heap, in O(1); SimTime::max() when
-  /// it is empty. Events currently staged for batch collection are
-  /// excluded.
+  /// Time of the earliest pending event, in O(1); SimTime::max() when the
+  /// queue is empty.
   [[nodiscard]] SimTime next_time() const {
     return heap_.empty() ? SimTime::max() : slots_[heap_[0]].time;
   }
@@ -185,26 +178,19 @@ class EventQueue {
     EventCallback fn;
   };
 
-  /// Unlinks every event sharing the earliest fire time from the heap —
-  /// one bulk repair instead of one sift per event — and stages the cohort
-  /// in sequence order for collect_staged(). Staged events keep their
-  /// slots, so handles stay valid: cancel() on a staged event prevents it
-  /// from firing. Returns the cohort size. Requires !empty() and no batch
-  /// in progress.
-  std::size_t pop_batch();
-
-  /// Moves the next staged event into `out`, skipping events cancelled
-  /// while staged. Returns false once the batch is exhausted (and the
-  /// queue is ready for the next pop_batch()).
-  bool collect_staged(Fired& out);
+  /// Moves the earliest pending event — least (time, seq) — into `out` and
+  /// releases its slot, so its handle is stale before the callback runs.
+  /// Returns false, leaving `out` untouched, when the queue is empty.
+  bool pop(Fired& out);
 
   /// Drops every pending event (destroying its callback state) and rewinds
-  /// the sequence counter, but keeps all storage — slot slab, heap array,
-  /// staging scratch — at capacity. A reset queue is observationally
-  /// identical to a freshly constructed one (same (time, seq) dispatch
-  /// order for any subsequent operation sequence), except that old handles
-  /// stay safely stale: slot generations are never rewound. This is what lets one sweep worker reuse a single
-  /// warmed arena across every trial of a lease.
+  /// the sequence counter, but keeps all storage — slot slab and heap
+  /// array — at capacity. A reset queue is observationally identical to a
+  /// freshly constructed one (same (time, seq) dispatch order for any
+  /// subsequent operation sequence), except that old handles stay safely
+  /// stale: slot generations are never rewound. This is what lets one
+  /// sweep worker reuse a single warmed arena across every trial of a
+  /// lease.
   void reset();
 
   /// Pre-sizes the slot pool and heap so a workload of up to `events`
@@ -215,8 +201,8 @@ class EventQueue {
     std::uint64_t scheduled = 0;
     std::uint64_t fired = 0;
     std::uint64_t cancelled = 0;
-    /// Times the slot pool, heap or staging storage had to grow. Flat in
-    /// steady state: slots are recycled through the free list.
+    /// Times the slot pool or heap had to grow. Flat in steady state:
+    /// slots are recycled through the free list.
     std::uint64_t pool_reallocations = 0;
     /// Scheduled callbacks whose captures exceeded
     /// EventCallback::kInlineCapacity and spilled to the heap. Per queue,
@@ -230,24 +216,14 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNil = EventHandle::kInvalidIndex;
-  /// pos_or_next sentinel for slots staged by pop_batch: not in the heap,
-  /// not on the free list, awaiting collection.
-  static constexpr std::uint32_t kStaged = 0xfffffffeu;
 
   struct Slot {
     SimTime time;
     std::uint64_t seq = 0;
     EventCallback fn;
     std::uint64_t generation = 0;
-    /// Heap position while pending; kStaged while staged; next free slot
-    /// index while free.
+    /// Heap position while pending; next free slot index while free.
     std::uint32_t pos_or_next = kNil;
-  };
-
-  struct StagedEntry {
-    std::uint64_t seq = 0;
-    std::uint32_t index = kNil;
-    std::uint64_t generation = 0;
   };
 
   /// True when event `a` must fire strictly before `b`.
@@ -256,8 +232,6 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  [[nodiscard]] bool staging() const { return staged_next_ < staged_.size(); }
-
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
 
@@ -265,21 +239,12 @@ class EventQueue {
   void remove_heap_at(std::size_t pos);
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-  void heap_collect_cohort(SimTime when);
-  void heap_bulk_remove();
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNil;
   std::uint64_t next_seq_ = 0;
   Stats stats_;
-
-  // Staged batch, in sequence order.
-  std::vector<StagedEntry> staged_;
-  std::size_t staged_next_ = 0;
-  std::size_t staged_live_ = 0;
-
   std::vector<std::uint32_t> heap_;  ///< 4-ary implicit heap of slot indices.
-  std::vector<std::uint32_t> cohort_;  ///< pop_batch position scratch.
 };
 
 }  // namespace adaptbf

@@ -85,22 +85,16 @@ void Simulator::dispatch(EventQueue::Fired& fired) {
   fired.fn();
 }
 
-void Simulator::drain_batch() {
-  queue_.pop_batch();
-  EventQueue::Fired fired;
-  while (queue_.collect_staged(fired)) dispatch(fired);
-}
-
 void Simulator::run_until(SimTime deadline) {
   ADAPTBF_CHECK(deadline >= now_);
-  // Every event staged by one drain carries next_time() <= deadline: the
-  // whole cohort shares one timestamp, so the deadline check holds for all.
-  while (!queue_.empty() && queue_.next_time() <= deadline) drain_batch();
+  EventQueue::Fired fired;
+  while (queue_.next_time() <= deadline && queue_.pop(fired)) dispatch(fired);
   now_ = deadline;
 }
 
 void Simulator::run_to_completion() {
-  while (!queue_.empty()) drain_batch();
+  EventQueue::Fired fired;
+  while (queue_.pop(fired)) dispatch(fired);
 }
 
 void Simulator::reset() {

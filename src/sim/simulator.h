@@ -2,10 +2,11 @@
 //
 // Owns the clock and the event queue. Components schedule callbacks either
 // at absolute times (schedule_at) or relative delays (schedule_after);
-// run_until() / run_to_completion() dispatch events in deterministic
-// (time, insertion) order, one same-timestamp cohort at a time. Single-threaded by design: an HPC storage server
-// simulation at this granularity is dominated by event dispatch, and
-// determinism is worth more than parallel speedup for reproducing figures.
+// run_until() / run_to_completion() pop and dispatch one event at a time,
+// in deterministic (time, insertion) order. Single-threaded by design: an
+// HPC storage server simulation at this granularity is dominated by event
+// dispatch, and determinism is worth more than parallel speedup for
+// reproducing figures.
 //
 // Periodic timers live in their own slot pool: each tick re-arms through a
 // tiny {index, generation} trampoline and calls the stored callback in
@@ -101,7 +102,6 @@ class Simulator {
   void arm_periodic(std::uint32_t index, std::uint64_t generation);
   void fire_periodic(std::uint32_t index, std::uint64_t generation);
   void dispatch(EventQueue::Fired& fired);
-  void drain_batch();
 
   EventQueue queue_;
   SimTime now_ = SimTime::zero();

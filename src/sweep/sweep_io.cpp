@@ -140,6 +140,8 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
       if (earlier.key == key) return fail("[grid] " + key + " is set twice");
     spec.axes.push_back(std::move(axis));
   }
+  if (const std::string error = validate_cells(spec); !error.empty())
+    return fail(error);
 
   SweepLoadResult result;
   if (ini->has_section("search")) {

@@ -65,6 +65,27 @@ std::string validate_axis(const SweepAxis& axis) {
   return "";
 }
 
+std::string validate_cells(const SweepSpec& spec) {
+  for (const SweepScenario& scenario : spec.scenarios) {
+    std::vector<std::size_t> at(spec.axes.size(), 0);
+    for (bool more = true; more; more = advance(at, spec.axes)) {
+      ScenarioSpec cell = scenario.spec;
+      std::string values;
+      for (std::size_t a = 0; a < spec.axes.size(); ++a) {
+        const SweepAxis& axis = spec.axes[a];
+        (void)apply_scenario_key(cell, scenario_key(axis.key),
+                                 axis.values[at[a]]);
+        values += (a == 0 ? " at " : ", ") + axis.key + " = " +
+                  axis.values[at[a]];
+      }
+      const std::string error = peak_events_error(cell);
+      if (!error.empty())
+        return "[grid] " + scenario.label + values + ": " + error;
+    }
+  }
+  return "";
+}
+
 std::string TrialSpec::cell_id() const {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "|%s|%u|%.6g",

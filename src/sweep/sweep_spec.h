@@ -82,4 +82,9 @@ struct SweepSpec {
   [[nodiscard]] std::vector<TrialSpec> expand() const;
 };
 
+/// "" when every grid cell (each scenario under each combination of axis
+/// values) fits the event budget of workload/scenario_io.h's
+/// peak_events_error; else an error naming the cell's axis values.
+[[nodiscard]] std::string validate_cells(const SweepSpec& spec);
+
 }  // namespace adaptbf

@@ -1,5 +1,7 @@
 #include "workload/scenario.h"
 
+#include <algorithm>
+
 #include "support/check.h"
 
 namespace adaptbf {
@@ -45,6 +47,22 @@ double ScenarioSpec::static_priority(JobId job) const {
     if (spec.id == job)
       return static_cast<double>(spec.nodes) / static_cast<double>(total);
   return 0.0;
+}
+
+std::size_t estimate_peak_events(const ScenarioSpec& spec,
+                                 std::size_t processes) {
+  const std::size_t per_process =
+      std::size_t{spec.max_inflight_per_process} + 2;
+  const std::size_t per_ost = std::size_t{spec.num_threads} + 8;
+  const std::size_t estimate =
+      processes * per_process + spec.num_osts * per_ost + 64;
+  return std::max<std::size_t>(estimate, 256);
+}
+
+std::size_t estimate_peak_events(const ScenarioSpec& spec) {
+  std::size_t processes = 0;
+  for (const auto& job : spec.jobs) processes += job.processes.size();
+  return estimate_peak_events(spec, processes);
 }
 
 ProcessPattern continuous_pattern(std::uint64_t total_rpcs,

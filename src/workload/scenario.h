@@ -7,6 +7,7 @@
 // spec into a wired simulation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -117,6 +118,23 @@ struct ScenarioSpec {
   /// node count over all nodes in the system).
   [[nodiscard]] double static_priority(JobId job) const;
 };
+
+/// Most events a trial of `spec` holds pending at once, were it to run
+/// `processes` client processes in all: per process, the next pattern
+/// release plus one event per in-flight RPC (each holds at most one, its
+/// current network or service stage); per OST, a disk completion, one
+/// token or queue wakeup per service thread and a few controller and
+/// daemon periodics; plus slack for transients. Computed in std::size_t,
+/// so no count wraps.
+[[nodiscard]] std::size_t estimate_peak_events(const ScenarioSpec& spec,
+                                               std::size_t processes);
+/// estimate_peak_events over spec's own processes. run_experiment
+/// pre-sizes the trial's event arena to it.
+[[nodiscard]] std::size_t estimate_peak_events(const ScenarioSpec& spec);
+
+/// The largest estimate_peak_events a scenario file or [grid] cell may
+/// have: about 128 MiB of event slots.
+inline constexpr std::size_t kMaxPeakEvents = std::size_t{1} << 20;
 
 /// Helper constructors for the two pattern kinds.
 [[nodiscard]] ProcessPattern continuous_pattern(std::uint64_t total_rpcs,

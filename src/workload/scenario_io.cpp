@@ -39,6 +39,10 @@ constexpr Range kNonNegative{0.0, false, kUnbounded, ">= 0"};
 constexpr Range kAtLeastOne{1.0, false, kUnbounded, ">= 1"};
 constexpr Range kFraction{0.0, true, 1.0, "in (0, 1]"};
 constexpr Range kCount{1.0, false, 4294967295.0, "in [1, 4294967295]"};
+/// OSTs, service threads, in-flight RPCs and process copies: each sizes
+/// storage, so each stays far below its type's end, and kMaxPeakEvents
+/// bounds their products.
+constexpr Range kSize{1.0, false, 65536.0, "in [1, 65536]"};
 /// Whole KiB whose size in bytes fits 32 bits.
 constexpr Range kKib{1.0, false, 4194303.0, "in [1, 4194303]"};
 
@@ -137,8 +141,8 @@ bool parse_process(std::string_view text, ProcessPattern& pattern,
 
   if (!take_u64("total", pattern.total_rpcs)) return false;
   if (!take_u64("count", count)) return false;
-  if (count == 0) {
-    error = "count must be >= 1";
+  if (!kSize.holds(static_cast<double>(count))) {
+    error = std::string("count must be an integer ") + kSize.text;
     return false;
   }
   if (!take_duration("delay", pattern.start_delay)) return false;
@@ -248,9 +252,9 @@ constexpr ScenarioKey kScenarioKeys[] = {
      [](Spec& s) -> Field { return &s.use_ewma_estimator; }},
     {"scenario", "ewma_alpha", kFraction, 1,
      [](Spec& s) -> Field { return &s.ewma_alpha; }},
-    {"server", "osts", kCount, 1,
+    {"server", "osts", kSize, 1,
      [](Spec& s) -> Field { return &s.num_osts; }},
-    {"server", "threads", kCount, 1,
+    {"server", "threads", kSize, 1,
      [](Spec& s) -> Field { return &s.num_threads; }},
     {"server", "seq_bandwidth_mibps", kPositive, 1024.0 * 1024.0,
      [](Spec& s) -> Field { return &s.disk.seq_bandwidth; }},
@@ -260,7 +264,7 @@ constexpr ScenarioKey kScenarioKeys[] = {
      [](Spec& s) -> Field { return &s.disk.per_rpc_overhead; }},
     {"client", "rpc_size_kib", kKib, 1024,
      [](Spec& s) -> Field { return &s.rpc_size_bytes; }},
-    {"client", "max_inflight", kCount, 1,
+    {"client", "max_inflight", kSize, 1,
      [](Spec& s) -> Field { return &s.max_inflight_per_process; }},
     {"client", "network_latency_us", kNonNegative, 1e6,
      [](Spec& s) -> Field { return &s.network_latency; }},
@@ -305,6 +309,15 @@ std::string parse(const ScenarioKey& key, Spec& spec, std::string_view text) {
   return "";
 }
 
+/// What a scenario needing `estimate` pending events is told, naming the
+/// keys that size it.
+std::string too_many_events(std::size_t estimate) {
+  return "needs up to " + std::to_string(estimate) +
+         " pending events (processes x (max_inflight + 2) + osts x "
+         "(threads + 8) + 64), more than the " +
+         std::to_string(kMaxPeakEvents) + " a trial may hold";
+}
+
 const ScenarioKey* find_key(std::string_view name) {
   for (const ScenarioKey& key : kScenarioKeys)
     if (key.name == name) return &key;
@@ -312,6 +325,11 @@ const ScenarioKey* find_key(std::string_view name) {
 }
 
 }  // namespace
+
+std::string peak_events_error(const ScenarioSpec& spec) {
+  const std::size_t estimate = estimate_peak_events(spec);
+  return estimate > kMaxPeakEvents ? too_many_events(estimate) : "";
+}
 
 std::string apply_scenario_key(ScenarioSpec& spec, std::string_view key,
                                std::string_view value) {
@@ -347,7 +365,9 @@ ScenarioLoadResult load_scenario(std::string_view text) {
     }
   }
 
-  // [job.N]
+  // [job.N], with every key above already applied. Checking the event
+  // budget per process line refuses a huge count= before its copies exist.
+  std::size_t processes = 0;
   for (const auto& section : ini->sections()) {
     if (section.rfind("job.", 0) != 0) continue;
     const std::string id_text = section.substr(4);
@@ -371,8 +391,12 @@ ScenarioLoadResult load_scenario(std::string_view text) {
       std::string error;
       if (!parse_process(process_text, pattern, count, error))
         return fail("[" + section + "] process: " + error);
-      for (std::uint64_t i = 0; i < count; ++i)
-        job.processes.push_back(pattern);
+      processes += count;
+      const std::size_t estimate = estimate_peak_events(spec, processes);
+      if (estimate > kMaxPeakEvents)
+        return fail("[" + section + "] process: the scenario " +
+                    too_many_events(estimate));
+      job.processes.insert(job.processes.end(), count, pattern);
     }
     if (job.processes.empty())
       return fail("[" + section + "] has no process lines");

@@ -58,6 +58,12 @@ struct ScenarioLoadResult {
                                              std::string_view key,
                                              std::string_view value);
 
+/// "" when `spec` needs at most kMaxPeakEvents pending events (see
+/// estimate_peak_events); else an error naming the keys that size it. The
+/// loader checks every file; sweep_spec.h's validate_cells every [grid]
+/// cell.
+[[nodiscard]] std::string peak_events_error(const ScenarioSpec& spec);
+
 /// Reads and parses a scenario file from disk.
 [[nodiscard]] ScenarioLoadResult load_scenario_file(const std::string& path);
 

@@ -170,6 +170,33 @@ TEST(GoldenTraceArenaReuse, OneSimulatorAcrossAllRunsReproducesHashes) {
   }
 }
 
+TEST(GoldenTrace, PreSizedArenaNeverGrows) {
+  // run_experiment reserves estimate_peak_events(spec) events up front, so a
+  // fresh simulator finishes every golden case without growing its slot
+  // pool or heap, and every callback fits inline.
+  const auto expect_presized = [](const ScenarioSpec& spec,
+                                  const char* policy) {
+    const ExperimentResult result =
+        run_experiment(spec, ExperimentOptions::without_trace());
+    EXPECT_EQ(result.queue_stats.pool_reallocations, 0u)
+        << spec.name << " / " << policy;
+    EXPECT_EQ(result.queue_stats.callback_heap_spills, 0u)
+        << spec.name << " / " << policy;
+    EXPECT_LE(result.event_pool_slots, estimate_peak_events(spec))
+        << spec.name << " / " << policy;
+  };
+  for (const auto& golden : kGolden) {
+    const auto control = bw_control_from_name(golden.policy);
+    ASSERT_TRUE(control.has_value()) << golden.policy;
+    expect_presized(make_scenario(golden.scenario, *control), golden.policy);
+  }
+  for (const auto& golden : kManyJobsGolden) {
+    const auto control = bw_control_from_name(golden.policy);
+    ASSERT_TRUE(control.has_value()) << golden.policy;
+    expect_presized(many_jobs_scenario(*control), golden.policy);
+  }
+}
+
 TEST(GoldenTrace, JobSummariesAreSortedAndFindable) {
   for (const char* scenario :
        {"token_allocation", "token_redistribution", "token_recompensation"}) {

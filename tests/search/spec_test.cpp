@@ -126,9 +126,13 @@ TEST(SearchSpec, ValidateRejectsInputsAndRungsTheGridWould) {
       {"token_rate", {0, 800}, "token_rate"},
       {"threads", {8, 16.5}, "threads"},
       {"osts", {1, 4}, "drop its osts axis"},
+      // 22 processes x (65536 + 2) pass the event budget on every cell.
+      {"max_inflight", {8, 65536},
+       "[grid] recompensation at osts = 2, max_inflight = 65536: needs up "
+       "to"},
   };
   for (const auto& bad : cases) {
-    // Built by hand: load_search refuses all but the last one itself.
+    // Built by hand: load_search refuses all but the last two itself.
     SearchSpec search = search_over("token_rate", "1, 2");
     search.input = bad.input;
     search.ladder = bad.ladder;

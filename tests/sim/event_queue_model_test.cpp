@@ -3,10 +3,10 @@
 // std::multimap keyed on fire time, which (since C++11) preserves insertion
 // order among equal keys, i.e. exactly the (time, sequence) contract.
 //
-// 10k mixed schedule/cancel/batch operations per seed, asserting identical
-// fire order, live() counts, and cancel() verdicts throughout. Batch rounds
-// exercise the staged-cohort semantics, including cancels and same-time
-// schedules issued mid-batch.
+// 10k mixed schedule/cancel/pop operations per seed, asserting identical
+// fire order, live() counts, and cancel() verdicts throughout. Pop rounds
+// drain the earliest timestamp one event at a time, with cancels and
+// same-time schedules made between callbacks, as a callback makes them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,6 +54,8 @@ void run_model(std::uint64_t seed, int operations) {
   };
 
   const auto check_fired_front = [&](EventQueue::Fired& popped, int op) {
+    ASSERT_FALSE(oracle.empty())
+        << "fired an event the oracle lacks at op " << op;
     const auto expected = oracle.begin();
     ASSERT_EQ(popped.time.ns(), expected->first)
         << "fire time diverged at op " << op;
@@ -83,20 +85,19 @@ void run_model(std::uint64_t seed, int operations) {
       cancel_random(op);
       if (::testing::Test::HasFatalFailure()) return;
     } else {
-      // Batched drain of the earliest-time cohort. The staged batch must
-      // fire exactly the oracle's equal-key run, in insertion order, while
-      // cancels and same-time schedules issued mid-batch take effect in
-      // (time, seq) order (the simulator forbids scheduling before the
-      // current dispatch time, so mid-batch times are >= t).
+      // Drain the earliest timestamp, one pop per event. Each pop must fire
+      // the oracle's front (its equal-key runs keep insertion order), while
+      // cancels and same-time schedules made after a callback take effect
+      // in (time, seq) order (the simulator forbids scheduling before the
+      // current dispatch time, so their times are >= t).
       ASSERT_FALSE(oracle.empty());
       const std::int64_t t = oracle.begin()->first;
-      ASSERT_EQ(queue.pop_batch(), oracle.count(t))
-          << "cohort size diverged at op " << op;
-      ASSERT_EQ(queue.live(), oracle.size());  // staged events still pending
       EventQueue::Fired out;
-      while (queue.collect_staged(out)) {
+      while (queue.next_time() == SimTime(t) && queue.pop(out)) {
         check_fired_front(out, op);
         if (::testing::Test::HasFatalFailure()) return;
+        ASSERT_EQ(queue.live(), oracle.size())
+            << "live() diverged at op " << op;
         const std::uint64_t mid = rng.next_in(0, 3);
         if (mid == 0) {
           cancel_random(op);
@@ -113,14 +114,12 @@ void run_model(std::uint64_t seed, int operations) {
   }
 
   // Drain: the remaining fire order must match the oracle exactly.
-  while (!oracle.empty()) {
-    queue.pop_batch();
-    EventQueue::Fired out;
-    while (queue.collect_staged(out)) {
-      check_fired_front(out, operations);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+  EventQueue::Fired out;
+  while (queue.pop(out)) {
+    check_fired_front(out, operations);
+    if (::testing::Test::HasFatalFailure()) return;
   }
+  ASSERT_TRUE(oracle.empty());
   ASSERT_TRUE(queue.empty());
 }
 

@@ -1,7 +1,7 @@
 // EventQueue API tests: fire order, cancel verdicts, handle staleness and
-// counts, then batch staging and reset()-reuse in their own sections.
-// Every test fires events the way Simulator does, through pop_batch() and
-// collect_staged().
+// counts, then same-time callbacks and reset()-reuse in their own
+// sections. Every test fires events the way Simulator does, one pop() per
+// event.
 #include "sim/event_queue.h"
 
 #include <gtest/gtest.h>
@@ -21,19 +21,16 @@ namespace {
 
 using Trace = std::vector<std::pair<std::int64_t, std::uint64_t>>;
 
-/// Fires up to `cohorts` same-time cohorts (all of them by default),
-/// running each callback, and returns the (time, seq) of every event fired
-/// in dispatch order.
+/// Pops up to `events` events (all of them by default), running each
+/// callback, and returns the (time, seq) of every event fired in dispatch
+/// order.
 Trace drain(EventQueue& queue,
-            std::size_t cohorts = std::numeric_limits<std::size_t>::max()) {
+            std::size_t events = std::numeric_limits<std::size_t>::max()) {
   Trace fired;
   EventQueue::Fired out;
-  for (; cohorts > 0 && !queue.empty(); --cohorts) {
-    queue.pop_batch();
-    while (queue.collect_staged(out)) {
-      fired.emplace_back(out.time.ns(), out.seq);
-      out.fn();
-    }
+  for (; events > 0 && queue.pop(out); --events) {
+    fired.emplace_back(out.time.ns(), out.seq);
+    out.fn();
   }
   return fired;
 }
@@ -229,39 +226,32 @@ TEST(EventQueue, StressManyRandomOrderings) {
   EXPECT_EQ(fired.size(), 1000u);
 }
 
-// ---------------------------------------------------------- batch staging
+// ------------------------------------------------- same-time callbacks
 
-TEST(EventQueue, PopBatchDrainsExactlyTheEarliestCohort) {
+TEST(EventQueue, PopOnEmptyQueueReturnsFalse) {
   EventQueue queue;
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i)
-    queue.schedule(SimTime(10), [&fired, i] { fired.push_back(i); });
-  queue.schedule(SimTime(20), [&fired] { fired.push_back(99); });
-  ASSERT_EQ(queue.pop_batch(), 5u);
-  EXPECT_EQ(queue.live(), 6u);  // staged events are still pending
   EventQueue::Fired out;
-  while (queue.collect_staged(out)) out.fn();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(queue.live(), 1u);
-  EXPECT_EQ(queue.next_time(), SimTime(20));
+  EXPECT_FALSE(queue.pop(out));
+  EXPECT_FALSE(static_cast<bool>(out.fn));
 }
 
-TEST(EventQueue, PopBatchOfOneStagesThatEvent) {
+TEST(EventQueue, PoppedEventIsStaleBeforeItsCallbackRuns) {
   EventQueue queue;
-  queue.schedule(SimTime(7), [] {});
-  ASSERT_EQ(queue.pop_batch(), 1u);
-  EventQueue::Fired out;
-  ASSERT_TRUE(queue.collect_staged(out));
-  EXPECT_EQ(out.time, SimTime(7));
-  EXPECT_EQ(out.seq, 0u);
-  EXPECT_FALSE(queue.collect_staged(out));
-  EXPECT_TRUE(queue.empty());
+  EventHandle self;
+  bool ran = false;
+  self = queue.schedule(SimTime(3), [&] {
+    ran = true;
+    EXPECT_FALSE(queue.pending(self));
+    EXPECT_FALSE(queue.cancel(self));
+  });
+  EXPECT_EQ(drain(queue), (Trace{{3, 0}}));
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(queue.stats().cancelled, 0u);
 }
 
-TEST(EventQueue, CancelDuringBatchPreventsStagedEventFromFiring) {
-  // An event dispatched early in a batch cancels a same-timestamp event
-  // staged behind it — the staged event must not fire, exactly as if it
-  // were still queued.
+TEST(EventQueue, SameTimeCancelFromACallbackPreventsFiring) {
+  // A callback cancels a same-timestamp event scheduled behind it: that
+  // event must not fire, and the one after it still does.
   EventQueue queue;
   std::vector<int> fired;
   EventHandle second;
@@ -271,19 +261,17 @@ TEST(EventQueue, CancelDuringBatchPreventsStagedEventFromFiring) {
   });
   second = queue.schedule(SimTime(10), [&] { fired.push_back(1); });
   queue.schedule(SimTime(10), [&] { fired.push_back(2); });
-  ASSERT_EQ(queue.pop_batch(), 3u);
-  EventQueue::Fired out;
-  while (queue.collect_staged(out)) out.fn();
+  EXPECT_EQ(drain(queue), (Trace{{10, 0}, {10, 2}}));
   EXPECT_EQ(fired, (std::vector<int>{0, 2}));
   EXPECT_EQ(queue.stats().cancelled, 1u);
   EXPECT_EQ(queue.stats().fired, 2u);
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(EventQueue, ScheduleDuringBatchJoinsTheStructureNotTheBatch) {
-  // A same-time event scheduled while collecting lands in the heap (it has
-  // a later sequence number than everything staged), so it fires in the
-  // NEXT batch, after every staged event: plain (time, seq) order.
+TEST(EventQueue, SameTimeScheduleFromACallbackFiresAfterEveryPendingEvent) {
+  // A same-time event scheduled from a callback draws a later sequence
+  // number than every pending event, so it fires after all of them: plain
+  // (time, seq) order.
   EventQueue queue;
   std::vector<int> fired;
   queue.schedule(SimTime(10), [&] {
@@ -291,28 +279,8 @@ TEST(EventQueue, ScheduleDuringBatchJoinsTheStructureNotTheBatch) {
     queue.schedule(SimTime(10), [&] { fired.push_back(9); });
   });
   queue.schedule(SimTime(10), [&] { fired.push_back(1); });
-  ASSERT_EQ(queue.pop_batch(), 2u);
-  EventQueue::Fired out;
-  while (queue.collect_staged(out)) out.fn();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1}));
-  ASSERT_EQ(queue.pop_batch(), 1u);
-  while (queue.collect_staged(out)) out.fn();
+  EXPECT_EQ(drain(queue), (Trace{{10, 0}, {10, 1}, {10, 2}}));
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 9}));
-}
-
-TEST(EventQueue, CancelledStagedCallbackStateIsReleased) {
-  EventQueue queue;
-  auto token = std::make_shared<int>(42);
-  std::weak_ptr<int> watch = token;
-  const EventHandle handle = queue.schedule(SimTime(1), [token] {});
-  token.reset();
-  ASSERT_EQ(queue.pop_batch(), 1u);
-  EXPECT_TRUE(queue.pending(handle));  // staged, not yet collected
-  EXPECT_TRUE(queue.cancel(handle));
-  EXPECT_TRUE(watch.expired());  // cancel destroys the staged state
-  EventQueue::Fired out;
-  EXPECT_FALSE(queue.collect_staged(out));
-  EXPECT_TRUE(queue.empty());
 }
 
 // ----------------------------------------------------------- reset reuse
@@ -344,21 +312,6 @@ TEST(EventQueue, ResetReleasesPendingCallbackState) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST(EventQueue, ResetReleasesUncollectedStagedEvents) {
-  EventQueue queue;
-  auto token = std::make_shared<int>(1);
-  std::weak_ptr<int> watch = token;
-  queue.schedule(SimTime(5), [token] {});
-  queue.schedule(SimTime(5), [] {});
-  token.reset();
-  ASSERT_EQ(queue.pop_batch(), 2u);
-  queue.reset();  // mid-batch reset: staged events are dropped too
-  EXPECT_TRUE(watch.expired());
-  EXPECT_TRUE(queue.empty());
-  EventQueue::Fired out;
-  EXPECT_FALSE(queue.collect_staged(out));
-}
-
 TEST(EventQueue, ResetKeepsStorageWarm) {
   EventQueue queue;
   const auto fill_and_drain = [&queue] {
@@ -367,8 +320,8 @@ TEST(EventQueue, ResetKeepsStorageWarm) {
   };
   fill_and_drain();
   queue.reset();
-  // The second identical round must not grow any storage: the slab, the
-  // heap, and the staging scratch all survived the reset.
+  // The second identical round must not grow any storage: the slab and
+  // the heap both survived the reset.
   fill_and_drain();
   EXPECT_EQ(queue.stats().pool_reallocations, 0u);
 }
@@ -408,8 +361,8 @@ TEST(EventQueue, ResetQueueTracesIdenticallyToFreshQueue) {
               queue.cancel(handles[rng.next_in(0, handles.size() - 1)]);
           trace.emplace_back(-1, verdict ? 1 : 0);
         } else {
-          const Trace cohort = drain(queue, 1);
-          trace.insert(trace.end(), cohort.begin(), cohort.end());
+          const Trace popped = drain(queue, 1);
+          trace.insert(trace.end(), popped.begin(), popped.end());
         }
         trace.emplace_back(-2, queue.live());
       }

@@ -192,8 +192,8 @@ TEST(Simulator, TieHeavyDispatchTraceIsPinned) {
   // Periodics with a common divisor plus bursts of same-time one-shots,
   // one of which cancels a same-timestamp event scheduled behind it and
   // re-schedules at the same time. The expected (time, seq) stream was
-  // recorded from event-at-a-time dispatch (one heap pop per event), so
-  // batched dispatch must reproduce it exactly.
+  // recorded from event-at-a-time dispatch (one heap pop per event) before
+  // batched dispatch existed; every dispatch core must reproduce it.
   Simulator sim;
   std::vector<std::pair<std::int64_t, std::uint64_t>> trace;
   sim.set_dispatch_hook([&trace](SimTime time, std::uint64_t seq) {
@@ -218,7 +218,7 @@ TEST(Simulator, TieHeavyDispatchTraceIsPinned) {
   EXPECT_EQ(sim.events_dispatched(), trace.size());
 }
 
-TEST(Simulator, BatchedCancelOfSameTimestampEventIsHonored) {
+TEST(Simulator, SameTimestampCancelFromACallbackIsHonored) {
   Simulator sim;
   bool victim_fired = false;
   EventHandle victim;

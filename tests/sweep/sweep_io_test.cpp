@@ -167,6 +167,14 @@ TEST(SweepIo, BadAxesFailNamingTheKey) {
       {"", "osts = 1\nosts = 2", "osts is set twice"},
       {"duration_s = 0\n", "", "duration_s"},
       {"duration_s = 10\n", "duration_s = 5, 20", "duration_s"},
+      {"", "osts = 1, 65537", "osts = '65537'"},
+      {"", "threads = 1, 65537", "threads = '65537'"},
+      {"", "max_inflight = 1, 65537", "max_inflight = '65537'"},
+      // Every value is in bounds, but some cell passes the event budget.
+      {"", "osts = 1, 65536", "[grid] token_allocation at osts = 65536: "},
+      {"", "max_inflight = 16380\nthreads = 56, 57",
+       "at max_inflight = 16380, threads = 57: needs up to 1048577 pending "
+       "events"},
   };
   for (const auto& bad : cases) {
     const auto loaded = load_sweep(
@@ -175,6 +183,22 @@ TEST(SweepIo, BadAxesFailNamingTheKey) {
     EXPECT_FALSE(loaded.ok()) << "accepted " << bad.sweep << bad.grid;
     EXPECT_NE(loaded.error.find(bad.needle), std::string::npos)
         << loaded.error;
+  }
+}
+
+TEST(SweepIo, GridCellsLoadUpToEveryBound) {
+  for (const char* key : {"osts", "threads", "max_inflight"})
+    EXPECT_EQ(validate_axis({key, {"1", "65536"}}), "") << key;
+  // token_allocation runs 64 processes on one OST: 64 x (16380 + 2) +
+  // (56 + 8) + 64 pending events meet kMaxPeakEvents exactly, and 65536
+  // OSTs fit only with few threads each.
+  for (const char* grid : {"max_inflight = 16380\nthreads = 8, 56",
+                           "threads = 1\nosts = 65536", "threads = 65536"}) {
+    const SweepLoadResult loaded = load_sweep(
+        std::string("[sweep]\npolicies = none\nscenario = token_allocation\n"
+                    "[grid]\n") +
+        grid + "\n");
+    EXPECT_TRUE(loaded.ok()) << grid << ": " << loaded.error;
   }
 }
 

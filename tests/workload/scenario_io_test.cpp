@@ -150,6 +150,10 @@ TEST(ScenarioIo, OutOfRangeValuesAreErrorsNotAborts) {
   expect_rejected("[server]\nosts = 4294967297", "osts");
   expect_rejected("[server]\nthreads = 4294967296", "threads");
   expect_rejected("[client]\nmax_inflight = 4294967296", "max_inflight");
+  // Counts that size storage stop at 65536.
+  expect_rejected("[server]\nosts = 65537", "osts");
+  expect_rejected("[server]\nthreads = 65537", "threads");
+  expect_rejected("[client]\nmax_inflight = 65537", "max_inflight");
   expect_rejected("[client]\nrpc_size_kib = 4194304", "rpc_size_kib");
   expect_rejected("[scenario]\ntimeline_bin_ms = 0", "timeline_bin_ms");
   expect_rejected("[scenario]\ntimeline_bin_ms = 1e-9", "timeline_bin_ms");
@@ -165,11 +169,67 @@ TEST(ScenarioIo, RangeEdgesAreAccepted) {
   const auto result = load_scenario(
       "[scenario]\napply_latency_ms = 0\newma_alpha = 1\n"
       "bucket_depth = 1\nmax_token_rate = 0.5\n"
-      "[client]\nrpc_size_kib = 4194303\n"
+      "[server]\nthreads = 65536\n"
+      "[client]\nrpc_size_kib = 4194303\nmax_inflight = 65536\n"
       "[job.1]\nprocess = continuous total=1\n");
   ASSERT_TRUE(result.ok()) << result.error;
   EXPECT_EQ(result.spec->rpc_size_bytes, 4194303u * 1024);
   EXPECT_EQ(result.spec->max_token_rate, 0.5);
+  EXPECT_EQ(result.spec->num_threads, 65536u);
+  EXPECT_EQ(result.spec->max_inflight_per_process, 65536u);
+}
+
+TEST(ScenarioIo, OstsAndProcessCopiesAcceptUpTo65536) {
+  // 65536 OSTs fit the event budget only with few threads each.
+  const auto osts = load_scenario(
+      "[server]\nosts = 65536\nthreads = 1\n[job.1]\n"
+      "process = continuous total=1\n");
+  ASSERT_TRUE(osts.ok()) << osts.error;
+  EXPECT_EQ(osts.spec->num_osts, 65536u);
+  const auto copies =
+      load_scenario("[job.1]\nprocess = continuous total=1 count=65536\n");
+  ASSERT_TRUE(copies.ok()) << copies.error;
+  EXPECT_EQ(copies.spec->jobs.at(0).processes.size(), 65536u);
+}
+
+TEST(ScenarioIo, EventBudgetCapsTheScenario) {
+  // 15 x (65534 + 2) + 1 x (threads + 8) + 64 pending events:
+  // threads = 65464 meets kMaxPeakEvents exactly, one more passes it.
+  const auto with_threads = [](const char* threads) {
+    return load_scenario(std::string("[server]\nthreads = ") + threads +
+                         "\n[client]\nmax_inflight = 65534\n[job.1]\n"
+                         "process = continuous total=1 count=15\n");
+  };
+  const auto at_cap = with_threads("65464");
+  ASSERT_TRUE(at_cap.ok()) << at_cap.error;
+  EXPECT_EQ(estimate_peak_events(*at_cap.spec), kMaxPeakEvents);
+  const auto past = with_threads("65465");
+  EXPECT_FALSE(past.ok());
+  EXPECT_NE(past.error.find("needs up to 1048577 pending events"),
+            std::string::npos)
+      << past.error;
+  EXPECT_NE(past.error.find("threads"), std::string::npos) << past.error;
+}
+
+TEST(ScenarioIo, EventBudgetIsCheckedPerProcessLine) {
+  // Each line is in bounds; the second one's copies would pass the budget,
+  // so the load stops there instead of making them.
+  const auto result = load_scenario(
+      "[job.1]\nprocess = continuous total=1 count=65536\n"
+      "process = continuous total=1 count=65536\n");
+  EXPECT_FALSE(result.ok());
+  EXPECT_NE(result.error.find("[job.1] process: the scenario needs up to"),
+            std::string::npos)
+      << result.error;
+}
+
+TEST(ScenarioIo, PeakEventEstimateDoesNotWrap) {
+  // In 32-bit arithmetic max_inflight + 2 wrapped to 1 here.
+  ScenarioSpec spec;
+  spec.max_inflight_per_process = 4294967295u;
+  spec.jobs.push_back(JobSpec{JobId(1), "one", 1, {continuous_pattern(1)}});
+  EXPECT_EQ(estimate_peak_events(spec), 4294967297u + 24 + 64);
+  EXPECT_NE(peak_events_error(spec), "");
 }
 
 TEST(ScenarioIo, DuplicateKeysAreErrors) {
@@ -214,6 +274,10 @@ TEST(ScenarioIo, RejectsBadProcessLines) {
   EXPECT_FALSE(load_scenario("[job.1]\nprocess = continuous total=10 "
                              "count=0\n")
                    .ok());
+  EXPECT_NE(load_scenario("[job.1]\nprocess = continuous total=10 "
+                          "count=65537\n")
+                .error.find("count must be an integer in [1, 65536]"),
+            std::string::npos);
   EXPECT_FALSE(load_scenario("[job.1]\nprocess =\n").ok());
 }
 
