@@ -7,10 +7,10 @@
 // replaces global operator new/delete with counting versions, so
 // "allocations per event" is the real process-wide number, not a proxy:
 // with the pooled event slots and inline callbacks, steady-state
-// scheduling must allocate exactly nothing, a warmed Static BW paper
-// trial must allocate next to nothing per RPC, and an AdapTBF trial may
-// add only its per-window work (all enforced by --require-zero-alloc in
-// CI).
+// scheduling, cancelling and rescheduling must allocate exactly nothing, a
+// warmed Static BW paper trial must allocate next to nothing per RPC, and
+// an AdapTBF trial may add only its per-window work (all enforced by
+// --require-zero-alloc in CI).
 //
 // Usage: sim_core_bench [--events N] [--trials N] [--require-zero-alloc]
 #include <atomic>
@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "cluster/experiment.h"
 #include "sim/simulator.h"
@@ -219,6 +220,40 @@ ChurnResult bench_cancel(std::uint64_t pairs) {
   return result;
 }
 
+ChurnResult bench_reschedule(std::uint64_t moves) {
+  // Moves pending events of a populated queue to random new times in
+  // place: the path PsDisk and Ost take instead of cancel-then-schedule.
+  constexpr int kPending = 4096;
+  Simulator sim;
+  sim.reserve_events(kPending + 8);
+  std::vector<EventHandle> handles;
+  handles.reserve(kPending);
+  for (int i = 0; i < kPending; ++i)
+    handles.push_back(sim.schedule_at(SimTime(1'000'000'000 + i), [] {}));
+
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  auto move_once = [&](std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      const auto when = static_cast<std::int64_t>(1'000 + (state >> 33) % 999'000'000);
+      sim.reschedule_at(handles[(state >> 17) % kPending], SimTime(when));
+    }
+  };
+
+  move_once(moves / 10 + 1);  // warm-up
+  const std::uint64_t allocations_before = allocations();
+  const auto start = Clock::now();
+  move_once(moves);
+  const double elapsed = seconds_since(start);
+  const std::uint64_t allocation_delta = allocations() - allocations_before;
+
+  ChurnResult result;
+  result.events_per_sec = static_cast<double>(moves) / elapsed;
+  result.allocs_per_event =
+      static_cast<double>(allocation_delta) / static_cast<double>(moves);
+  return result;
+}
+
 struct TrialResultStats {
   double trials_per_sec = 0.0;
   double events_per_sec = 0.0;
@@ -280,17 +315,20 @@ int run(int argc, char** argv) {
 
   const ChurnResult churn = bench_churn(events);
   const ChurnResult cancel = bench_cancel(events / 2);
+  const ChurnResult moved = bench_reschedule(events / 2);
   const ChurnResult storm = bench_storm(events);
   const TrialResultStats experiment =
       bench_trials(BwControl::kAdaptive, trials);
   const TrialResultStats static_trial = bench_trials(BwControl::kStatic, 1);
 
-  std::printf("schema_version 5\n");
+  std::printf("schema_version 6\n");
   std::printf("events_total %llu\n", static_cast<unsigned long long>(events));
   std::printf("events_per_sec %.0f\n", churn.events_per_sec);
   std::printf("steady_allocs_per_event %.8f\n", churn.allocs_per_event);
   std::printf("cancel_pairs_per_sec %.0f\n", cancel.events_per_sec);
   std::printf("steady_allocs_per_cancel %.8f\n", cancel.allocs_per_event);
+  std::printf("reschedules_per_sec %.0f\n", moved.events_per_sec);
+  std::printf("steady_allocs_per_reschedule %.8f\n", moved.allocs_per_event);
   std::printf("storm_events_per_sec %.0f\n", storm.events_per_sec);
   std::printf("storm_allocs_per_event %.8f\n", storm.allocs_per_event);
   std::printf("experiment_trials %llu\n",
@@ -305,13 +343,14 @@ int run(int argc, char** argv) {
   if (!require_zero_alloc) return 0;
   int status = 0;
   if (churn.allocs_per_event != 0.0 || cancel.allocs_per_event != 0.0 ||
-      storm.allocs_per_event != 0.0) {
+      moved.allocs_per_event != 0.0 || storm.allocs_per_event != 0.0) {
     std::fprintf(stderr,
                  "sim_core_bench: steady-state scheduling allocated "
-                 "(%.8f/event, %.8f/cancel, %.8f/storm-event) — the "
-                 "allocation-free contract is broken\n",
+                 "(%.8f/event, %.8f/cancel, %.8f/reschedule, "
+                 "%.8f/storm-event) — the allocation-free contract is "
+                 "broken\n",
                  churn.allocs_per_event, cancel.allocs_per_event,
-                 storm.allocs_per_event);
+                 moved.allocs_per_event, storm.allocs_per_event);
     status = 1;
   }
   if (static_trial.allocs_per_rpc > kMaxTrialAllocsPerRpc) {

@@ -1,7 +1,5 @@
 #include "metrics/latency_stats.h"
 
-#include <utility>
-
 #include "support/stats.h"
 
 namespace adaptbf {
@@ -11,17 +9,27 @@ void LatencyStats::record(const RpcCompletion& completion) {
                                           1e3);
 }
 
+namespace {
+/// Selects in place, reordering `values`.
+LatencyPercentiles select_percentiles(std::vector<double>& values) {
+  LatencyPercentiles out;
+  if (values.empty()) return out;
+  out.samples = values.size();
+  out.p50_ms = select_percentile(values, 50.0);
+  out.p95_ms = select_percentile(values, 95.0);
+  out.p99_ms = select_percentile(values, 99.0);
+  return out;
+}
+}  // namespace
+
 LatencySummary LatencyStats::summarize(std::vector<double> values) {
   LatencySummary summary;
   if (values.empty()) return summary;
-  summary.samples = values.size();
   StreamingStats stats;
   for (double v : values) stats.add(v);
   summary.mean_ms = stats.mean();
   summary.max_ms = stats.max();
-  summary.p50_ms = select_percentile(values, 50.0);
-  summary.p95_ms = select_percentile(values, 95.0);
-  summary.p99_ms = select_percentile(values, 99.0);
+  static_cast<LatencyPercentiles&>(summary) = select_percentiles(values);
   return summary;
 }
 
@@ -30,14 +38,14 @@ LatencySummary LatencyStats::total_latency(JobId job) const {
   return samples == nullptr ? LatencySummary{} : summarize(*samples);
 }
 
-LatencySummary LatencyStats::total_latency_all() const {
+LatencyPercentiles LatencyStats::pooled_percentiles() const {
   std::size_t total = 0;
   for (const auto& samples : total_ms_.values()) total += samples.size();
   std::vector<double> all;
   all.reserve(total);
   for (const auto& samples : total_ms_.values())
     all.insert(all.end(), samples.begin(), samples.end());
-  return summarize(std::move(all));
+  return select_percentiles(all);
 }
 
 std::vector<JobId> LatencyStats::jobs() const {

@@ -16,12 +16,16 @@
 
 namespace adaptbf {
 
-struct LatencySummary {
+/// Order statistics of a latency sample set.
+struct LatencyPercentiles {
   std::size_t samples = 0;
-  double mean_ms = 0.0;
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
+};
+
+struct LatencySummary : LatencyPercentiles {
+  double mean_ms = 0.0;
   double max_ms = 0.0;
 };
 
@@ -34,8 +38,9 @@ class LatencyStats {
   /// Zeroed summary if the job has no samples.
   [[nodiscard]] LatencySummary total_latency(JobId job) const;
 
-  /// Summary across all jobs.
-  [[nodiscard]] LatencySummary total_latency_all() const;
+  /// p50/p95/p99 of every job's samples pooled (the sweep's per-trial
+  /// latency columns). Order statistics only: no per-sample fold.
+  [[nodiscard]] LatencyPercentiles pooled_percentiles() const;
 
   [[nodiscard]] std::vector<JobId> jobs() const;
   [[nodiscard]] std::size_t samples(JobId job) const;
@@ -45,9 +50,8 @@ class LatencyStats {
   /// then selected in place, so the caller's copy is the only one.
   static LatencySummary summarize(std::vector<double> values);
 
-  // Ascending JobId: total_latency_all() folds samples across jobs and
-  // floating-point accumulation is rounding-order-sensitive — iteration
-  // order must not depend on hash layout (lint: unordered-output).
+  // Ascending JobId: iteration (jobs(), the pooled copy) must not depend
+  // on hash layout (lint: unordered-output).
   FlatMap<JobId, std::vector<double>> total_ms_;
 };
 

@@ -1,6 +1,8 @@
 #include "metrics/report.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 
 #include "support/check.h"
 
@@ -15,6 +17,32 @@ double chunk_mean(const std::vector<double>& series, std::size_t begin,
   double sum = 0.0;
   for (std::size_t i = begin; i < end; ++i) sum += series[i];
   return sum / static_cast<double>(end - begin);
+}
+
+/// Fewest decimals that print every multiple of `width` exactly, in s.
+int decimals_for(SimDuration width) {
+  int decimals = 0;
+  for (std::int64_t unit = 1'000'000'000;
+       decimals < 9 && width.ns() % unit != 0; unit /= 10)
+    ++decimals;
+  return decimals;
+}
+
+/// `t` in seconds with `decimals` decimals, from integer nanoseconds:
+/// exact when `t` is a multiple of 10^-decimals s.
+std::string seconds_label(SimTime t, int decimals) {
+  std::int64_t per_second = 1;
+  for (int i = 0; i < decimals; ++i) per_second *= 10;
+  const auto units =
+      static_cast<long long>(t.ns() / (1'000'000'000 / per_second));
+  char buf[48];
+  if (decimals == 0) {
+    std::snprintf(buf, sizeof buf, "%lld", units);
+  } else {
+    std::snprintf(buf, sizeof buf, "%lld.%0*lld", units / per_second,
+                  decimals, units % per_second);
+  }
+  return buf;
 }
 }  // namespace
 
@@ -34,12 +62,14 @@ Table timeline_table(const ThroughputTimeline& timeline, SimTime horizon,
   const auto aggregate = timeline.aggregate_mibps(horizon);
   const std::size_t bins = aggregate.size();
   const std::size_t chunk = std::max<std::size_t>(1, bins / points);
+  const SimDuration bin = timeline.bin_width();
+  const int decimals = decimals_for(bin * static_cast<std::int64_t>(chunk));
 
   for (std::size_t begin = 0; begin < bins; begin += chunk) {
     const std::size_t end = std::min(begin + chunk, bins);
-    const double t_mid = (static_cast<double>(begin + end) / 2.0) *
-                         timeline.bin_width().to_seconds();
-    std::vector<std::string> row{fmt_fixed(t_mid, 1)};
+    const SimTime start =
+        SimTime::zero() + bin * static_cast<std::int64_t>(begin);
+    std::vector<std::string> row{seconds_label(start, decimals)};
     for (const auto& s : series)
       row.push_back(fmt_fixed(chunk_mean(s, begin, end), 1));
     row.push_back(fmt_fixed(chunk_mean(aggregate, begin, end), 1));

@@ -18,6 +18,10 @@ namespace adaptbf {
 
 /// Downsamples a 100 ms series into `points` rows of (time, value) by
 /// averaging within each chunk — a printable stand-in for a plot line.
+/// Chunks span a whole number of bins; each row's "t (s)" label is its
+/// chunk's start, printed with as many decimals as the chunk width needs
+/// to be exact (1 for 100 ms, 3 for 25 ms), so labels are distinct and
+/// increasing.
 [[nodiscard]] Table timeline_table(
     const ThroughputTimeline& timeline, SimTime horizon,
     const std::vector<std::pair<JobId, std::string>>& jobs,

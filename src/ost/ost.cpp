@@ -56,9 +56,10 @@ void Ost::pump() {
     const SimTime ready = scheduler_->next_ready_time(now);
     if (ready < SimTime::max()) {
       if (sim_.pending(wakeup_) && wakeup_time_ <= ready) return;  // armed
-      sim_.cancel(wakeup_);  // stale handles are ignored in O(1)
       wakeup_time_ = std::max(ready, now);
-      wakeup_ = sim_.schedule_at(wakeup_time_, [this] { pump(); });
+      // Move a pending wakeup in place; a stale handle schedules anew.
+      if (!sim_.reschedule_at(wakeup_, wakeup_time_))
+        wakeup_ = sim_.schedule_at(wakeup_time_, [this] { pump(); });
     }
   }
 }

@@ -5,6 +5,9 @@
 // of I/O threads over a processor-shared device. This mirrors the OSS/OST
 // split in Fig. 2: the scheduler is the OSS-layer NRS; the device is the
 // target. One Ost instance == one decentralized AdapTBF control domain.
+// While work waits on tokens, one wakeup event stays armed at the
+// scheduler's next ready time; an earlier ready time moves it in place
+// (Simulator::reschedule_at).
 #pragma once
 
 #include <cstdint>
@@ -90,7 +93,8 @@ class Ost {
   std::uint64_t completed_ = 0;
   std::uint64_t completed_bytes_ = 0;
   /// Pending scheduler wakeup; goes stale automatically once it fires, so
-  /// no companion "armed" flag is needed.
+  /// no companion "armed" flag is needed. An earlier wakeup moves it in
+  /// place (Simulator::reschedule_at).
   EventHandle wakeup_;
   SimTime wakeup_time_;
 };

@@ -34,17 +34,21 @@ void PsDisk::advance_to(SimTime now) {
 }
 
 void PsDisk::arm_completion() {
-  sim_.cancel(pending_event_);  // no-op when unarmed or already fired
-  if (active_.empty()) return;
+  if (active_.empty()) {
+    sim_.cancel(pending_event_);  // no-op when unarmed or already fired
+    return;
+  }
   double min_remaining = -1.0;
   for (const Transfer& transfer : active_)
     if (min_remaining < 0.0 || transfer.remaining < min_remaining)
       min_remaining = transfer.remaining;
   const double wait_sec = std::max(0.0, min_remaining) *
                           static_cast<double>(active_.size()) / bandwidth_;
-  const auto wait =
+  const SimTime when =
+      sim_.now() +
       SimDuration(static_cast<std::int64_t>(std::ceil(wait_sec * 1e9)));
-  pending_event_ = sim_.schedule_after(wait, [this] { on_completion(); });
+  if (!sim_.reschedule_at(pending_event_, when))
+    pending_event_ = sim_.schedule_at(when, [this] { on_completion(); });
 }
 
 void PsDisk::on_completion() {

@@ -4,8 +4,10 @@
 // shared equally among all in-service transfers (egalitarian processor
 // sharing) — the standard fluid approximation for concurrent bulk I/O on a
 // shared SSD. Progress is integrated lazily between events; one pending
-// completion event is kept armed for the transfer that will finish first.
-// Deterministic: ties complete in admission order.
+// completion event is kept armed for the transfer that will finish first,
+// and every admission moves it in place (Simulator::reschedule_at) rather
+// than cancelling it and scheduling another. Deterministic: ties complete
+// in admission order.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +45,8 @@ class PsDisk {
 
   /// Integrates progress from last_update_ to now.
   void advance_to(SimTime now);
-  /// (Re)arms the completion event for the earliest-finishing transfer.
+  /// Arms the completion event for the earliest-finishing transfer, moving
+  /// the pending one if any; cancels it when nothing is active.
   void arm_completion();
   void on_completion();
 
@@ -57,7 +60,8 @@ class PsDisk {
   /// on_completion()'s finished transfers; a member so it keeps capacity.
   std::vector<Transfer> finished_;
   SimTime last_update_;
-  /// Armed completion event; stale (and safely cancellable) once fired.
+  /// Armed completion event; stale once fired, which arm_completion() reads
+  /// as "schedule a new one".
   EventHandle pending_event_;
 };
 

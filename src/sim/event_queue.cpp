@@ -47,6 +47,19 @@ bool EventQueue::cancel(EventHandle handle) {
   return true;
 }
 
+bool EventQueue::reschedule(EventHandle handle, SimTime when) {
+  if (!pending(handle)) return false;
+  Slot& slot = slots_[handle.index];
+  slot.time = when;
+  slot.seq = next_seq_++;
+  // The new key may order either way against the old one.
+  const std::size_t pos = slot.pos_or_next;
+  sift_up(pos);
+  sift_down(slot.pos_or_next);
+  ++stats_.rescheduled;
+  return true;
+}
+
 bool EventQueue::pop(Fired& out) {
   if (heap_.empty()) return false;
   const std::uint32_t index = heap_[0];

@@ -11,11 +11,13 @@
 // Cancellation is eager with no hash sets: the slot's back-pointer locates
 // the heap entry directly, and the slot's generation counter is bumped on
 // release so stale handles (fired or already-cancelled events) are
-// rejected in O(1). Steady-state scheduling performs zero heap
-// allocations: slots are recycled through a free list, and EventCallback
-// stores small callables inline (see kInlineCapacity), falling back to the
-// heap only for oversized captures (counted per queue in
-// Stats::callback_heap_spills).
+// rejected in O(1). The same back-pointer lets reschedule() move a pending
+// event to a new time in place, under a fresh sequence number, where a
+// cancel plus a schedule would release and re-acquire its slot.
+// Steady-state scheduling performs zero heap allocations: slots are
+// recycled through a free list, and EventCallback stores small callables
+// inline (see kInlineCapacity), falling back to the heap only for
+// oversized captures (counted per queue in Stats::callback_heap_spills).
 //
 // Dispatch pops one event at a time (pop): the heap root leaves the heap
 // and its slot is released before the callback runs, so the callback sees
@@ -156,6 +158,14 @@ class EventQueue {
   /// if the handle is stale (event already fired or already cancelled).
   bool cancel(EventHandle handle);
 
+  /// Moves a pending event to time `when` under a fresh sequence number,
+  /// in place: it keeps its slot, callback and handle, in O(log4 n). The
+  /// sequence number is drawn exactly as schedule() draws one, so a
+  /// reschedule dispatches in the (time, seq) order that cancel() followed
+  /// by schedule() of the same callback would give. Returns false, changing
+  /// nothing, if the handle is stale.
+  bool reschedule(EventHandle handle, SimTime when);
+
   /// True while the referenced event is still pending.
   [[nodiscard]] bool pending(EventHandle handle) const {
     return handle.valid() && handle.index < slots_.size() &&
@@ -197,10 +207,13 @@ class EventQueue {
   /// concurrent events runs without any further allocation.
   void reserve(std::size_t events);
 
+  /// scheduled == fired + cancelled + live() at all times: a reschedule
+  /// moves an event without scheduling or cancelling one.
   struct Stats {
     std::uint64_t scheduled = 0;
     std::uint64_t fired = 0;
     std::uint64_t cancelled = 0;
+    std::uint64_t rescheduled = 0;
     /// Times the slot pool or heap had to grow. Flat in steady state:
     /// slots are recycled through the free list.
     std::uint64_t pool_reallocations = 0;

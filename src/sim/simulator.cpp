@@ -16,6 +16,11 @@ EventHandle Simulator::schedule_after(SimDuration delay, EventCallback fn) {
   return queue_.schedule(now_ + delay, std::move(fn));
 }
 
+bool Simulator::reschedule_at(EventHandle handle, SimTime when) {
+  ADAPTBF_CHECK_MSG(when >= now_, "cannot schedule into the past");
+  return queue_.reschedule(handle, when);
+}
+
 Simulator::PeriodicHandle Simulator::schedule_periodic(SimDuration period,
                                                        EventCallback fn) {
   ADAPTBF_CHECK_MSG(period > SimDuration(0), "period must be positive");

@@ -1,9 +1,11 @@
 // Discrete-event simulator driver.
 //
 // Owns the clock and the event queue. Components schedule callbacks either
-// at absolute times (schedule_at) or relative delays (schedule_after);
-// run_until() / run_to_completion() pop and dispatch one event at a time,
-// in deterministic (time, insertion) order. Single-threaded by design: an
+// at absolute times (schedule_at) or relative delays (schedule_after), and
+// move a pending one to a new time in place (reschedule_at) instead of
+// cancelling it and scheduling a copy; run_until() / run_to_completion()
+// pop and dispatch one event at a time, in deterministic (time, insertion)
+// order. Single-threaded by design: an
 // HPC storage server simulation at this granularity is dominated by event
 // dispatch, and determinism is worth more than parallel speedup for
 // reproducing figures.
@@ -47,6 +49,12 @@ class Simulator {
   void cancel_periodic(PeriodicHandle handle);
 
   bool cancel(EventHandle handle) { return queue_.cancel(handle); }
+
+  /// Moves a pending one-shot event to absolute time `when` (not in the
+  /// past) in place, keeping its handle; the event draws a fresh sequence
+  /// number, so dispatch order is that of cancel() plus schedule_at().
+  /// Returns false, changing nothing, for a stale handle.
+  bool reschedule_at(EventHandle handle, SimTime when);
 
   /// True while the referenced one-shot event is still pending; stale
   /// handles (fired/cancelled) answer false in O(1).

@@ -38,7 +38,7 @@ TrialResult summarize_trial(const TrialSpec& trial,
   per_job.reserve(result.jobs.size());
   for (const auto& job : result.jobs) per_job.push_back(job.mean_mibps);
   out.fairness = jain_fairness(per_job);
-  const LatencySummary latency = result.latency.total_latency_all();
+  const LatencyPercentiles latency = result.latency.pooled_percentiles();
   out.p50_ms = latency.p50_ms;
   out.p95_ms = latency.p95_ms;
   out.p99_ms = latency.p99_ms;

@@ -28,7 +28,7 @@ void TbfScheduler::start_rule(const RuleSpec& spec) {
   for (JobId job : jobs) {
     // The new rule is the newest in every list, so a repeated id finds it
     // at the back already.
-    auto& candidates = rules_by_job_[job];
+    auto& candidates = jobs_[job].rules;
     if (candidates.empty() || candidates.back() != started)
       candidates.push_back(started);
   }
@@ -47,10 +47,11 @@ bool TbfScheduler::change_rule(const std::string& name, double new_rate,
   rule->spec.rank = new_rank;
   ++rule->stats.rate_changes;
   for (JobId job : rule->bound_jobs) {
-    auto& queue = queues_.at(job);
+    const std::uint32_t slot = jobs_.find(job)->queue;
+    ClassQueue& queue = queues_[slot];
     queue.bucket.set_rate(new_rate, now);
     queue.rank = new_rank;
-    if (!queue.rpcs.empty()) push_deadline(queue, now);
+    if (!queue.rpcs.empty()) push_deadline(slot, now);
   }
   return true;
 }
@@ -66,14 +67,18 @@ bool TbfScheduler::stop_rule(const std::string& name, SimTime /*now*/) {
                               rule->bound_jobs.end());
   std::sort(to_erase.begin(), to_erase.end());
   for (JobId job : to_erase) {
-    auto& queue = queues_.at(job);
+    JobEntry& entry = *jobs_.find(job);
+    ClassQueue& queue = queues_[entry.queue];
+    heap_remove(entry.queue);
     for (; !queue.rpcs.empty(); queue.rpcs.pop_front())
       fallback_.push_back({arrival_counter_++, queue.rpcs.front()});
-    queues_.erase(job);
+    queue.rule = nullptr;
+    free_queues_.push_back(entry.queue);
+    entry.queue = kNone;
   }
   const auto& jobs = rule->spec.matcher.jobs();
   if (jobs.empty()) std::erase(jobless_rules_, rule);
-  for (JobId job : jobs) std::erase(*rules_by_job_.find(job), rule);
+  for (JobId job : jobs) std::erase(jobs_.find(job)->rules, rule);
   rules_by_name_.erase(named);
   std::erase_if(rules_, [rule](const auto& r) { return r.get() == rule; });
   ADAPTBF_LOG_DEBUG("tbf", "stop rule '%s'", name.c_str());
@@ -96,7 +101,8 @@ const RuleStats* TbfScheduler::rule_stats(const std::string& name) const {
   return it == rules_by_name_.end() ? nullptr : &it->second->stats;
 }
 
-TbfScheduler::Rule* TbfScheduler::classify(const Rpc& rpc) {
+TbfScheduler::Rule* TbfScheduler::classify(const Rpc& rpc,
+                                           const JobEntry* entry) {
   // The same pick as a scan of rules_ in start order that keeps the first
   // lowest rank: start order is generation order.
   Rule* best = nullptr;
@@ -107,134 +113,174 @@ TbfScheduler::Rule* TbfScheduler::classify(const Rpc& rpc) {
          rule->generation < best->generation))
       best = rule;
   };
-  if (const auto* named = rules_by_job_.find(rpc.job))
-    for (Rule* rule : *named) consider(rule);
+  if (entry != nullptr)
+    for (Rule* rule : entry->rules) consider(rule);
   for (Rule* rule : jobless_rules_) consider(rule);
   return best;
 }
 
-void TbfScheduler::push_deadline(ClassQueue& q, SimTime now) {
-  const SimTime deadline = q.bucket.time_for_tokens(1.0, now);
-  q.heap_version = ++heap_version_counter_;
-  heap_.push(HeapEntry{deadline, q.rank, arrival_counter_++, q.heap_version,
-                       q.job});
+TokenBucket TbfScheduler::fresh_bucket(const Rule& rule, SimTime now) const {
+  return TokenBucket(rule.spec.rate, rule.spec.depth, now,
+                     config_.start_full ? rule.spec.depth : 0.0);
+}
+
+std::uint32_t TbfScheduler::acquire_queue(Rule* rule, SimTime now) {
+  if (free_queues_.empty()) {
+    queues_.push_back(ClassQueue{rule, fresh_bucket(*rule, now), {},
+                                 rule->spec.rank, kNone});
+    return static_cast<std::uint32_t>(queues_.size() - 1);
+  }
+  const std::uint32_t slot = free_queues_.back();
+  free_queues_.pop_back();
+  ClassQueue& queue = queues_[slot];  // drained: keeps its ring's capacity
+  queue.rule = rule;
+  queue.bucket = fresh_bucket(*rule, now);
+  queue.rank = rule->spec.rank;
+  return slot;
+}
+
+void TbfScheduler::push_deadline(std::uint32_t slot, SimTime now) {
+  ClassQueue& queue = queues_[slot];
+  const HeapEntry entry{queue.bucket.time_for_tokens(1.0, now), queue.rank,
+                        slot, arrival_counter_++};
+  if (queue.heap_pos == kNone) {
+    queue.heap_pos = static_cast<std::uint32_t>(heap_.size());
+    heap_.push_back(entry);
+  } else {
+    heap_[queue.heap_pos] = entry;
+  }
+  // A moved entry's new key may order either way against its old one.
+  heap_sift_up(queue.heap_pos);
+  heap_sift_down(queue.heap_pos);
+}
+
+void TbfScheduler::heap_remove(std::uint32_t slot) {
+  const std::uint32_t pos = queues_[slot].heap_pos;
+  if (pos == kNone) return;
+  queues_[slot].heap_pos = kNone;
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (pos == heap_.size()) return;
+  heap_set(pos, last);
+  heap_sift_up(pos);
+  heap_sift_down(queues_[last.slot].heap_pos);
+}
+
+void TbfScheduler::heap_set(std::size_t pos, const HeapEntry& entry) {
+  heap_[pos] = entry;
+  queues_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
+}
+
+void TbfScheduler::heap_sift_up(std::size_t pos) {
+  const HeapEntry moving = heap_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!(moving < heap_[parent])) break;
+    heap_set(pos, heap_[parent]);
+    pos = parent;
+  }
+  heap_set(pos, moving);
+}
+
+void TbfScheduler::heap_sift_down(std::size_t pos) {
+  const std::size_t n = heap_.size();
+  const HeapEntry moving = heap_[pos];
+  while (true) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < moving)) break;
+    heap_set(pos, heap_[child]);
+    pos = child;
+  }
+  heap_set(pos, moving);
 }
 
 void TbfScheduler::enqueue(const Rpc& rpc, SimTime now) {
-  Rule* rule = classify(rpc);
+  JobEntry* entry = jobs_.find(rpc.job);
+  Rule* rule = classify(rpc, entry);
   if (rule == nullptr) {
     fallback_.push_back({arrival_counter_++, rpc});
     ++backlog_;
     return;
   }
   ++rule->stats.arrived;
-  auto it = queues_.find(rpc.job);
-  if (it != queues_.end() && it->second.rule != rule) {
+  if (entry == nullptr) entry = &jobs_[rpc.job];  // matched by a jobless rule
+  if (entry->queue != kNone && queues_[entry->queue].rule != rule) {
     // The job's best-matching rule changed (rule stopped+restarted, or a
     // higher-rank rule now matches). Rebind: keep pending RPCs, adopt the
     // new rule's rate/rank with a fresh bucket.
-    ClassQueue& queue = it->second;
+    ClassQueue& queue = queues_[entry->queue];
     queue.rule->bound_jobs.erase(rpc.job);
     rule->bound_jobs.insert(rpc.job);
     queue.rule = rule;
     queue.rank = rule->spec.rank;
-    queue.bucket = TokenBucket(rule->spec.rate, rule->spec.depth, now,
-                               config_.start_full ? rule->spec.depth : 0.0);
+    queue.bucket = fresh_bucket(*rule, now);
     queue.rpcs.push_back(rpc);
     ++backlog_;
-    push_deadline(queue, now);
+    push_deadline(entry->queue, now);
     return;
   }
-  if (it == queues_.end()) {
-    ClassQueue queue{
-        rpc.job,
-        rule,
-        TokenBucket(rule->spec.rate, rule->spec.depth, now,
-                    config_.start_full ? rule->spec.depth : 0.0),
-        {},
-        rule->spec.rank,
-        0};
+  if (entry->queue == kNone) {
     rule->bound_jobs.insert(rpc.job);
-    it = queues_.emplace(rpc.job, std::move(queue)).first;
+    entry->queue = acquire_queue(rule, now);
   }
-  ClassQueue& queue = it->second;
+  ClassQueue& queue = queues_[entry->queue];
   const bool was_empty = queue.rpcs.empty();
   queue.rpcs.push_back(rpc);
   ++backlog_;
-  if (was_empty) push_deadline(queue, now);
+  if (was_empty) push_deadline(entry->queue, now);
 }
 
 std::optional<Rpc> TbfScheduler::dequeue(SimTime now) {
   while (true) {
-    // Drop stale heap entries off the top.
-    const HeapEntry* top = nullptr;
-    while (!heap_.empty()) {
-      const HeapEntry& candidate = heap_.top();
-      auto it = queues_.find(candidate.job);
-      if (it == queues_.end() ||
-          it->second.heap_version != candidate.version) {
-        heap_.pop();
-        continue;
-      }
-      top = &candidate;
-      break;
-    }
-    const bool rule_due = top != nullptr && top->deadline <= now;
+    const bool rule_due = !heap_.empty() && heap_[0].deadline <= now;
     // Fallback competes with due rule queues in arrival order; it wins
     // outright when no rule queue is due.
     if (!fallback_.empty() &&
-        (!rule_due || fallback_.front().first < top->arrival_seq)) {
+        (!rule_due || fallback_.front().first < heap_[0].arrival_seq)) {
       Rpc rpc = fallback_.front().second;
       fallback_.pop_front();
       --backlog_;
       return rpc;
     }
     if (!rule_due) return std::nullopt;
-    const HeapEntry entry = *top;
-    heap_.pop();
-    ClassQueue& queue = queues_.at(entry.job);
+    const std::uint32_t slot = heap_[0].slot;
+    ClassQueue& queue = queues_[slot];
     ADAPTBF_CHECK(!queue.rpcs.empty());
     if (queue.bucket.try_consume(1.0, now)) {
       Rpc rpc = queue.rpcs.front();
       queue.rpcs.pop_front();
       --backlog_;
       ++queue.rule->stats.served;
-      if (!queue.rpcs.empty()) {
-        push_deadline(queue, now);
+      if (queue.rpcs.empty()) {
+        heap_remove(slot);
       } else {
-        queue.heap_version = 0;  // no live entry while queue is empty
+        push_deadline(slot, now);
       }
       return rpc;
     }
     // Deadline was computed under an older (higher) rate; recompute. The
     // new deadline is strictly in the future, so this cannot loop.
-    push_deadline(queue, now);
+    push_deadline(slot, now);
   }
 }
 
 SimTime TbfScheduler::next_ready_time(SimTime now) {
   if (!fallback_.empty()) return now;
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.top();
-    auto it = queues_.find(top.job);
-    if (it == queues_.end() || it->second.heap_version != top.version) {
-      heap_.pop();
-      continue;
-    }
-    return std::max(now, top.deadline);
-  }
-  return SimTime::max();
+  return heap_.empty() ? SimTime::max() : std::max(now, heap_[0].deadline);
 }
 
 double TbfScheduler::queue_tokens(JobId job, SimTime now) {
-  auto it = queues_.find(job);
-  if (it == queues_.end()) return 0.0;
-  return it->second.bucket.tokens(now);
+  const JobEntry* entry = jobs_.find(job);
+  if (entry == nullptr || entry->queue == kNone) return 0.0;
+  return queues_[entry->queue].bucket.tokens(now);
 }
 
 std::size_t TbfScheduler::queue_backlog(JobId job) const {
-  auto it = queues_.find(job);
-  return it == queues_.end() ? 0 : it->second.rpcs.size();
+  const JobEntry* entry = jobs_.find(job);
+  if (entry == nullptr || entry->queue == kNone) return 0;
+  return queues_[entry->queue].rpcs.size();
 }
 
 }  // namespace adaptbf

@@ -18,11 +18,18 @@
 //
 // Classification key: this reproduction keys queues by JobID (the paper sets
 // `jobid_var=nodelocal`), so one queue exists per (rule, job) pair.
+//
+// Per-RPC cost does not depend on the number of jobs. Queues live in a
+// slot vector (freed slots are reused, keeping their ring's capacity) that
+// one FlatMap lookup per job reaches. The heap holds exactly one entry per
+// non-empty queue with its key inline ({deadline, rank, arrival seq,
+// slot}); each queue keeps its entry's position, so a new deadline updates
+// the entry in place, and dequeue()/next_ready_time() read the root with no
+// lookup and no stale entries to skip.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -104,51 +111,71 @@ class TbfScheduler final : public RequestScheduler {
     std::unordered_set<JobId> bound_jobs;
   };
 
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
   struct ClassQueue {
-    JobId job;
     /// Owning rule. Stable: rules_ stores unique_ptrs, and stop_rule()
-    /// erases every bound queue before destroying the rule.
+    /// frees every bound queue before destroying the rule.
     Rule* rule = nullptr;
     TokenBucket bucket;
     RingFifo<Rpc> rpcs;
     std::int32_t rank = 0;
-    /// Version of the queue's one live heap entry (0: none). Drawn from
-    /// the scheduler-wide heap_version_counter_, so a queue re-created
-    /// for the same job can never revive an entry left by its predecessor.
-    std::uint64_t heap_version = 0;
+    /// Position of the queue's heap entry; kNone while the queue is empty.
+    std::uint32_t heap_pos = kNone;
   };
 
   struct HeapEntry {
     SimTime deadline;
     std::int32_t rank;
+    std::uint32_t slot;  ///< The queue's index in queues_.
     std::uint64_t arrival_seq;
-    std::uint64_t version;
-    JobId job;
-    bool operator>(const HeapEntry& o) const {
-      if (deadline != o.deadline) return deadline > o.deadline;
-      if (rank != o.rank) return rank > o.rank;
-      return arrival_seq > o.arrival_seq;
+    bool operator<(const HeapEntry& o) const {
+      if (deadline != o.deadline) return deadline < o.deadline;
+      if (rank != o.rank) return rank < o.rank;
+      return arrival_seq < o.arrival_seq;
     }
   };
 
-  /// The matching rule with the lowest rank, then the earliest start.
-  /// Considers only the rules listed under `rpc.job` and the rules with no
-  /// job clause, so its cost does not grow with the number of jobs.
-  Rule* classify(const Rpc& rpc);
+  /// Everything the scheduler keeps per job.
+  struct JobEntry {
+    /// Every rule whose matcher names the job, once, in start order. The
+    /// list stays when its last rule stops, so a restart reuses it.
+    std::vector<Rule*> rules;
+    /// The job's queue in queues_, or kNone.
+    std::uint32_t queue = kNone;
+  };
 
-  /// Recomputes and pushes the heap entry for a non-empty throttled queue.
-  void push_deadline(ClassQueue& q, SimTime now);
+  /// The matching rule with the lowest rank, then the earliest start.
+  /// Considers only the rules of `entry`, the RPC's job (none when null),
+  /// and the rules with no job clause, so its cost does not grow with the
+  /// number of jobs.
+  Rule* classify(const Rpc& rpc, const JobEntry* entry);
+
+  /// Computes a non-empty queue's deadline under a fresh arrival seq and
+  /// inserts or moves its heap entry.
+  void push_deadline(std::uint32_t slot, SimTime now);
+  /// Takes a queue out of the heap; a no-op for an empty queue.
+  void heap_remove(std::uint32_t slot);
+  void heap_sift_up(std::size_t pos);
+  void heap_sift_down(std::size_t pos);
+  /// Writes `entry` at heap position `pos` and points its queue at it.
+  void heap_set(std::size_t pos, const HeapEntry& entry);
+
+  /// A fresh queue for `rule`, reusing a freed slot when there is one.
+  std::uint32_t acquire_queue(Rule* rule, SimTime now);
+  [[nodiscard]] TokenBucket fresh_bucket(const Rule& rule, SimTime now) const;
 
   Config config_;
   std::vector<std::unique_ptr<Rule>> rules_;           // insertion-ordered
   std::unordered_map<std::string, Rule*> rules_by_name_;
-  /// Classification candidates, each list in start order: every rule whose
-  /// matcher names a job is listed under that job, once; rules with no job
-  /// clause are listed in jobless_rules_. A job's list stays in the table
-  /// when its last rule stops, so a restart reuses the storage.
-  FlatMap<JobId, std::vector<Rule*>> rules_by_job_;
+  /// Classification candidates and the queue slot, per job; rules with no
+  /// job clause are listed in jobless_rules_ in start order.
+  FlatMap<JobId, JobEntry> jobs_;
   std::vector<Rule*> jobless_rules_;
-  std::unordered_map<JobId, ClassQueue> queues_;       // one per job
+  /// Queue slots, at most one live queue per job; free_queues_ lists the
+  /// freed ones.
+  std::vector<ClassQueue> queues_;
+  std::vector<std::uint32_t> free_queues_;
   /// Unclassified RPCs, tagged with their arrival sequence. The fallback
   /// competes FIFO-fairly with *due* rule queues (older head first) rather
   /// than only running when every rule queue is token-blocked — matching
@@ -156,12 +183,11 @@ class TbfScheduler final : public RequestScheduler {
   /// Otherwise a saturated rule set (Σ rates ≈ device rate) would starve
   /// fallback RPCs forever, deadlocking closed-loop clients.
   RingFifo<std::pair<std::uint64_t, Rpc>> fallback_;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
-      heap_;
+  /// Binary min-heap, one entry per non-empty queue.
+  std::vector<HeapEntry> heap_;
   std::size_t backlog_ = 0;
   std::uint64_t arrival_counter_ = 0;
   std::uint64_t generation_counter_ = 0;
-  std::uint64_t heap_version_counter_ = 0;
 };
 
 }  // namespace adaptbf

@@ -34,21 +34,6 @@ std::optional<BwControl> bw_control_from_name(std::string_view name) {
   return std::nullopt;
 }
 
-std::uint32_t ScenarioSpec::total_nodes() const {
-  std::uint32_t total = 0;
-  for (const auto& job : jobs) total += job.nodes;
-  return total;
-}
-
-double ScenarioSpec::static_priority(JobId job) const {
-  const std::uint32_t total = total_nodes();
-  ADAPTBF_CHECK(total > 0);
-  for (const auto& spec : jobs)
-    if (spec.id == job)
-      return static_cast<double>(spec.nodes) / static_cast<double>(total);
-  return 0.0;
-}
-
 std::size_t estimate_peak_events(const ScenarioSpec& spec,
                                  std::size_t processes) {
   const std::size_t per_process =

@@ -111,12 +111,6 @@ struct ScenarioSpec {
   /// Stop early once all processes finished (plus one settle window).
   bool stop_when_idle = true;
   SimDuration timeline_bin = SimDuration::millis(100);
-
-  /// Convenience: total compute nodes across jobs.
-  [[nodiscard]] std::uint32_t total_nodes() const;
-  /// Priority share of `job` as the paper defines it for Static BW (its
-  /// node count over all nodes in the system).
-  [[nodiscard]] double static_priority(JobId job) const;
 };
 
 /// Most events a trial of `spec` holds pending at once, were it to run

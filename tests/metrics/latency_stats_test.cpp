@@ -64,9 +64,9 @@ TEST(LatencyStats, AllJobsSummaryPoolsSamples) {
   LatencyStats stats;
   stats.record(completion(1, 0, 0, 10));
   stats.record(completion(2, 0, 0, 30));
-  const auto summary = stats.total_latency_all();
+  const auto summary = stats.pooled_percentiles();
   EXPECT_EQ(summary.samples, 2u);
-  EXPECT_DOUBLE_EQ(summary.mean_ms, 20.0);
+  EXPECT_DOUBLE_EQ(summary.p50_ms, 20.0);  // halfway from 10 to 30
 }
 
 TEST(LatencyStats, JobsListedSorted) {
@@ -91,7 +91,7 @@ double sorted_percentile(std::vector<double> values, double q) {
   return values[lo] + frac * (values[hi] - values[lo]);
 }
 
-void expect_bitwise_percentiles(const LatencySummary& summary,
+void expect_bitwise_percentiles(const LatencyPercentiles& summary,
                                 const std::vector<double>& samples) {
   ASSERT_EQ(summary.samples, samples.size());
   EXPECT_EQ(std::bit_cast<std::uint64_t>(summary.p50_ms),
@@ -130,7 +130,7 @@ TEST(LatencyStats, PercentilesMatchSortReferenceBitwise) {
       const std::vector<double> samples =
           record_seeded(stats, 1, n, distinct, rng);
       expect_bitwise_percentiles(stats.total_latency(JobId(1)), samples);
-      expect_bitwise_percentiles(stats.total_latency_all(), samples);
+      expect_bitwise_percentiles(stats.pooled_percentiles(), samples);
     }
   }
 }
@@ -145,7 +145,7 @@ TEST(LatencyStats, PooledPercentilesMatchSortReferenceBitwise) {
     expect_bitwise_percentiles(stats.total_latency(JobId(job)), samples);
     pooled.insert(pooled.end(), samples.begin(), samples.end());
   }
-  expect_bitwise_percentiles(stats.total_latency_all(), pooled);
+  expect_bitwise_percentiles(stats.pooled_percentiles(), pooled);
 }
 
 }  // namespace

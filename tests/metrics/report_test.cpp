@@ -30,6 +30,53 @@ TEST(ReportTimeline, HasRowPerChunkAndAggregateColumn) {
   EXPECT_NE(rendered.find("30.0"), std::string::npos);
 }
 
+/// The "t (s)" cell of every data row, read back from the CSV.
+std::vector<std::string> time_labels(const Table& table) {
+  std::vector<std::string> labels;
+  const std::string csv = table.to_csv();
+  std::size_t line = csv.find('\n') + 1;  // skip the header row
+  while (line < csv.size()) {
+    labels.push_back(csv.substr(line, csv.find(',', line) - line));
+    line = csv.find('\n', line) + 1;
+    if (line == 0) break;
+  }
+  return labels;
+}
+
+// One 100 ms bin per row: each row is labelled with its chunk's start, at
+// one decimal — not with midpoints 0.05, 0.15, ... that round to repeats.
+TEST(ReportTimeline, HundredMsRowsAreLabelledByDistinctStarts) {
+  ThroughputTimeline timeline(SimDuration::millis(100));
+  for (int bin = 0; bin < 5; ++bin)
+    timeline.record(JobId(1), 1024 * 1024, at_ms(bin * 100 + 1));
+  const Table table = timeline_table(timeline, at_ms(500), two_jobs(),
+                                     /*points=*/5);
+  EXPECT_EQ(time_labels(table),
+            (std::vector<std::string>{"0.0", "0.1", "0.2", "0.3", "0.4"}));
+  // Two bins per row: starts 0.2 s apart.
+  const Table coarse = timeline_table(timeline, at_ms(500), two_jobs(),
+                                      /*points=*/2);
+  EXPECT_EQ(time_labels(coarse),
+            (std::vector<std::string>{"0.0", "0.2", "0.4"}));
+}
+
+// 25 ms bins need three decimals to stay exact and distinct.
+TEST(ReportTimeline, TwentyFiveMsRowsKeepThreeDecimals) {
+  ThroughputTimeline timeline(SimDuration::millis(25));
+  for (int bin = 0; bin < 6; ++bin)
+    timeline.record(JobId(2), 1024 * 1024, at_ms(bin * 25 + 1));
+  const Table table = timeline_table(timeline, at_ms(150), two_jobs(),
+                                     /*points=*/6);
+  EXPECT_EQ(time_labels(table),
+            (std::vector<std::string>{"0.000", "0.025", "0.050", "0.075",
+                                      "0.100", "0.125"}));
+  // Two 25 ms bins per row: 50 ms chunks need two decimals.
+  const Table pairs = timeline_table(timeline, at_ms(150), two_jobs(),
+                                     /*points=*/3);
+  EXPECT_EQ(time_labels(pairs),
+            (std::vector<std::string>{"0.00", "0.05", "0.10"}));
+}
+
 TEST(ReportSummary, RowsPerJobPlusOverall) {
   PolicySummary a{"No BW", {10.0, 20.0}, 30.0};
   PolicySummary b{"AdapTBF", {12.0, 18.0}, 30.0};

@@ -162,6 +162,67 @@ TEST(EventQueue, StatsCountOperations) {
   EXPECT_EQ(queue.stats().fired, 1u);
 }
 
+// Two queues take the same seeded script; one moves events with cancel()
+// plus schedule() of the same callback, the other with reschedule(). Both
+// must fire the same callbacks at the same (time, seq), and the moving
+// queue must count moves, not schedules and cancels.
+TEST(EventQueue, RescheduleTracesLikeCancelThenSchedule) {
+  EventQueue paired;
+  EventQueue moved;
+  std::vector<int> paired_fired;
+  std::vector<int> moved_fired;
+  std::vector<EventHandle> paired_handles;
+  std::vector<EventHandle> moved_handles;
+  const auto record = [](std::vector<int>& fired, int id) {
+    return [&fired, id] { fired.push_back(id); };
+  };
+  Xoshiro256 rng(0x7e5c);
+  for (int id = 0; id < 64; ++id) {
+    const SimTime when(static_cast<std::int64_t>(rng.next_in(0, 99)));
+    paired_handles.push_back(paired.schedule(when, record(paired_fired, id)));
+    moved_handles.push_back(moved.schedule(when, record(moved_fired, id)));
+  }
+  Trace paired_trace;
+  Trace moved_trace;
+  int moves = 0;
+  for (int step = 0; step < 400; ++step) {
+    if (rng.next_in(0, 7) == 0) {
+      paired_trace.insert(paired_trace.end(), drain(paired, 1).front());
+      moved_trace.insert(moved_trace.end(), drain(moved, 1).front());
+      if (paired.empty()) break;
+      continue;
+    }
+    const auto id = static_cast<int>(rng.next_in(0, 63));
+    const SimTime when(static_cast<std::int64_t>(rng.next_in(100, 199)) + step);
+    ASSERT_EQ(paired.pending(paired_handles[id]),
+              moved.pending(moved_handles[id]));
+    if (!paired.pending(paired_handles[id])) {
+      EXPECT_FALSE(moved.reschedule(moved_handles[id], when));
+      continue;
+    }
+    paired.cancel(paired_handles[id]);
+    paired_handles[id] = paired.schedule(when, record(paired_fired, id));
+    const EventHandle before = moved_handles[id];
+    ASSERT_TRUE(moved.reschedule(moved_handles[id], when));
+    EXPECT_TRUE(moved.pending(before));  // the handle survives the move
+    ++moves;
+  }
+  const Trace paired_rest = drain(paired);
+  const Trace moved_rest = drain(moved);
+  paired_trace.insert(paired_trace.end(), paired_rest.begin(),
+                      paired_rest.end());
+  moved_trace.insert(moved_trace.end(), moved_rest.begin(), moved_rest.end());
+  EXPECT_EQ(moved_trace, paired_trace);
+  EXPECT_EQ(moved_fired, paired_fired);
+  EXPECT_EQ(moved_fired.size(), 64u);
+  EXPECT_GT(moves, 100);
+  EXPECT_EQ(moved.stats().rescheduled, static_cast<std::uint64_t>(moves));
+  EXPECT_EQ(moved.stats().scheduled, 64u);
+  EXPECT_EQ(moved.stats().cancelled, 0u);
+  EXPECT_EQ(paired.stats().cancelled, static_cast<std::uint64_t>(moves));
+  EXPECT_EQ(paired.stats().rescheduled, 0u);
+}
+
 TEST(EventQueue, ReserveMakesSteadyStateAllocationFree) {
   EventQueue queue;
   queue.reserve(64);

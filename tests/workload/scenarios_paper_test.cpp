@@ -5,14 +5,29 @@
 namespace adaptbf {
 namespace {
 
+std::uint64_t total_nodes(const ScenarioSpec& spec) {
+  std::uint64_t total = 0;
+  for (const auto& job : spec.jobs) total += job.nodes;
+  return total;
+}
+
+/// The paper's Static BW priority: a job's node count over all nodes.
+double node_share(const ScenarioSpec& spec, JobId job) {
+  for (const auto& entry : spec.jobs)
+    if (entry.id == job)
+      return static_cast<double>(entry.nodes) /
+             static_cast<double>(total_nodes(spec));
+  return 0.0;
+}
+
 TEST(PaperScenarios, TokenAllocationMatchesSectionIvD) {
   const auto spec = scenario_token_allocation(BwControl::kAdaptive);
   ASSERT_EQ(spec.jobs.size(), 4u);
   // Priorities 10/10/30/50 % from node counts 1/1/3/5.
-  EXPECT_DOUBLE_EQ(spec.static_priority(JobId(1)), 0.1);
-  EXPECT_DOUBLE_EQ(spec.static_priority(JobId(2)), 0.1);
-  EXPECT_DOUBLE_EQ(spec.static_priority(JobId(3)), 0.3);
-  EXPECT_DOUBLE_EQ(spec.static_priority(JobId(4)), 0.5);
+  EXPECT_DOUBLE_EQ(node_share(spec, JobId(1)), 0.1);
+  EXPECT_DOUBLE_EQ(node_share(spec, JobId(2)), 0.1);
+  EXPECT_DOUBLE_EQ(node_share(spec, JobId(3)), 0.3);
+  EXPECT_DOUBLE_EQ(node_share(spec, JobId(4)), 0.5);
   for (const auto& job : spec.jobs) {
     EXPECT_EQ(job.processes.size(), 16u) << job.name;
     for (const auto& process : job.processes) {
@@ -27,8 +42,8 @@ TEST(PaperScenarios, RedistributionMatchesSectionIvE) {
   const auto spec = scenario_token_redistribution(BwControl::kAdaptive);
   ASSERT_EQ(spec.jobs.size(), 4u);
   // Jobs 1-3 high priority (30%), job 4 low (10%).
-  EXPECT_DOUBLE_EQ(spec.static_priority(JobId(1)), 0.3);
-  EXPECT_DOUBLE_EQ(spec.static_priority(JobId(4)), 0.1);
+  EXPECT_DOUBLE_EQ(node_share(spec, JobId(1)), 0.3);
+  EXPECT_DOUBLE_EQ(node_share(spec, JobId(4)), 0.1);
   for (std::size_t j = 0; j < 3; ++j) {
     EXPECT_EQ(spec.jobs[j].processes.size(), 2u);
     for (const auto& process : spec.jobs[j].processes)
@@ -49,7 +64,7 @@ TEST(PaperScenarios, RecompensationMatchesSectionIvF) {
   ASSERT_EQ(spec.jobs.size(), 4u);
   // Equal 25% priority everywhere.
   for (std::uint32_t id = 1; id <= 4; ++id)
-    EXPECT_DOUBLE_EQ(spec.static_priority(JobId(id)), 0.25);
+    EXPECT_DOUBLE_EQ(node_share(spec, JobId(id)), 0.25);
   // Jobs 1-3: one bursty process + one delayed continuous process, with
   // delays 20/50/80 s.
   const double delays[] = {20.0, 50.0, 80.0};
@@ -89,8 +104,8 @@ TEST(PaperScenarios, ObservationPeriodIsHundredMs) {
 
 TEST(PaperScenarios, TotalNodesSumsJobAllocations) {
   const auto spec = scenario_token_allocation(BwControl::kAdaptive);
-  EXPECT_EQ(spec.total_nodes(), 10u);
-  EXPECT_DOUBLE_EQ(spec.static_priority(JobId(99)), 0.0);  // unknown job
+  EXPECT_EQ(total_nodes(spec), 10u);
+  EXPECT_DOUBLE_EQ(node_share(spec, JobId(99)), 0.0);  // unknown job
 }
 
 }  // namespace
