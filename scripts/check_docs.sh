@@ -16,6 +16,9 @@
 #   8. every backticked `name()` or `Type::name()` in docs/*.md and
 #      README.md must name identifiers that appear under src/, bench/,
 #      examples/ or perfbench/cpp/
+#   9. every backticked repo path (one with a '/') ending in .cpp, .h,
+#      .ini, .md, .sh, .py or .json in docs/*.md and README.md must exist,
+#      relative to the repo root or to src/; globs are skipped
 #
 # Mentioning a header is a low bar on purpose: the check catches "we
 # added a subsystem and never documented it", not prose quality.
@@ -106,6 +109,19 @@ while IFS= read -r call; do
     fi
   done
 done <<<"$calls"
+
+# A deleted or moved file leaves its docs behind. The character class
+# has no '*', so a glob such as `scripts/*.sh` never matches.
+paths=$(grep -oE \
+  '`[A-Za-z0-9_.-]+/[A-Za-z0-9_./-]*\.(cpp|h|ini|md|sh|py|json)`' \
+  docs/*.md README.md | tr -d '`' | sort -u || true)
+while IFS=: read -r file path; do
+  [ -n "$path" ] || continue
+  if [ ! -e "$path" ] && [ ! -e "src/$path" ]; then
+    echo "docs check: $file names $path, which does not exist" >&2
+    fail=1
+  fi
+done <<<"$paths"
 
 if [ "$fail" -eq 0 ]; then
   echo "docs check: OK"

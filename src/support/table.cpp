@@ -1,8 +1,10 @@
 #include "support/table.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -81,10 +83,24 @@ bool Table::write_csv(const std::string& path) const {
   return static_cast<bool>(file);
 }
 
-std::string fmt_fixed(double v, int precision) {
+namespace {
+
+/// printf keeps the sign of a negative value that rounds to zero at the
+/// requested precision ("-0", "-0.0%"); such a value prints as zero does.
+/// `v > -1.0` leaves -inf and NaN, which print no digit either, alone.
+std::string format_number(const char* pattern, int precision, double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
+  std::snprintf(buf, sizeof(buf), pattern, precision, v);
+  if (std::signbit(v) && v > -1.0 &&
+      std::strpbrk(buf, "123456789") == nullptr)
+    std::snprintf(buf, sizeof(buf), pattern, precision, 0.0);
   return buf;
+}
+
+}  // namespace
+
+std::string fmt_fixed(double v, int precision) {
+  return format_number("%.*f", precision, v);
 }
 
 std::string fmt_count(std::uint64_t v) {
@@ -101,15 +117,11 @@ std::string fmt_count(std::uint64_t v) {
 }
 
 std::string fmt_signed(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%+.*f", precision, v);
-  return buf;
+  return format_number("%+.*f", precision, v);
 }
 
 std::string fmt_percent(double fraction, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f%%", precision, fraction * 100.0);
-  return buf;
+  return format_number("%.*f%%", precision, fraction * 100.0);
 }
 
 }  // namespace adaptbf

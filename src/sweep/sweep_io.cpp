@@ -1,5 +1,6 @@
 #include "sweep/sweep_io.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>  // adaptbf-lint: allow(unordered-output)
@@ -78,6 +79,10 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
     const auto policy = bw_control_from_name(name);
     if (!policy.has_value())
       return fail("bad policy '" + name + "' (none|static|adaptive|gift)");
+    // A repeated cell would be averaged as a seeded repetition of itself.
+    if (std::find(spec.policies.begin(), spec.policies.end(), *policy) !=
+        spec.policies.end())
+      return fail("policies: '" + name + "' is listed twice");
     spec.policies.push_back(*policy);
   }
   if (spec.policies.empty()) return fail("policies list is empty");
@@ -88,21 +93,25 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
   for (const auto& value : scenario_values) {
     if (value.empty())
       return fail("empty scenario = value (builtin name or file path)");
-    if (auto builtin = builtin_scenario(value)) {
-      spec.scenarios.push_back(std::move(*builtin));
-      continue;
+    std::optional<SweepScenario> scenario = builtin_scenario(value);
+    if (!scenario.has_value()) {
+      std::string path = value;
+      if (!base_dir.empty() && path.front() != '/')
+        path = base_dir + "/" + path;
+      ScenarioLoadResult loaded = load_scenario_file(path);
+      if (!loaded.ok())
+        return fail("scenario '" + value + "': " + loaded.error);
+      const std::string& name = loaded.spec->name;
+      scenario = SweepScenario{name.empty() ? path_stem(value) : name,
+                               std::move(*loaded.spec)};
     }
-    std::string path = value;
-    if (!base_dir.empty() && path.front() != '/')
-      path = base_dir + "/" + path;
-    const ScenarioLoadResult loaded = load_scenario_file(path);
-    if (!loaded.ok())
-      return fail("scenario '" + value + "': " + loaded.error);
-    SweepScenario scenario;
-    scenario.label =
-        loaded.spec->name.empty() ? path_stem(value) : loaded.spec->name;
-    scenario.spec = std::move(*loaded.spec);
-    spec.scenarios.push_back(std::move(scenario));
+    // Cells are keyed by label: two scenarios under one label would be
+    // averaged as seeded repetitions of one cell.
+    for (const SweepScenario& earlier : spec.scenarios)
+      if (earlier.label == scenario->label)
+        return fail("scenario '" + value + "': label '" + scenario->label +
+                    "' is already taken by an earlier scenario = line");
+    spec.scenarios.push_back(std::move(*scenario));
   }
 
   if (auto reps = ini->get("sweep", "repetitions")) {
@@ -136,6 +145,10 @@ SweepLoadResult load_sweep(std::string_view text, const std::string& base_dir) {
     SweepAxis axis{key, split_list(list)};
     const std::string error = validate_axis(axis);
     if (!error.empty()) return fail("[grid] " + error);
+    // Values compare as written: 3 and 3.0 label distinct cells.
+    for (auto it = axis.values.begin(); it != axis.values.end(); ++it)
+      if (std::find(axis.values.begin(), it, *it) != it)
+        return fail("[grid] " + key + " = '" + *it + "' is listed twice");
     for (const SweepAxis& earlier : spec.axes)
       if (earlier.key == key) return fail("[grid] " + key + " is set twice");
     spec.axes.push_back(std::move(axis));

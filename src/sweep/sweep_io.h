@@ -26,7 +26,8 @@
 // recompensation (the paper's §IV-D/E/F workloads). Any other value is
 // treated as a scenario file path, resolved relative to the sweep file.
 // docs/sweep_cli.md gives the [grid] grammar and its cell labels.
-// Unknown sections/keys are errors, same stance as scenario_io.h.
+// Unknown sections/keys are errors, same stance as scenario_io.h, and so
+// are a repeated policy, scenario label or value within one axis.
 #pragma once
 
 #include <optional>

@@ -1,6 +1,6 @@
 // §IV-H as a campaign: examples/sweeps/paper/fig9_frequency.ini must
-// reproduce bench/fig9_frequency.cpp's hand-built runs exactly, one trial
-// per observation period Δt.
+// reproduce the hand-built §IV-F AdapTBF run exactly, one trial per
+// observation period Δt, with rules applied 25 ms after each window.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,7 +32,7 @@ TEST(Fig9Campaign, EachTrialMatchesTheHandBuiltRun) {
     EXPECT_EQ(trials[i].scenario, "recompensation@observation_ms=" +
                                       std::to_string(periods[i]) +
                                       "@apply_latency_ms=25");
-    // bench/fig9_frequency.cpp's spec for this Δt.
+    // The hand-built spec for this Δt.
     ScenarioSpec spec = scenario_token_recompensation(BwControl::kAdaptive);
     spec.observation_period = SimDuration::millis(periods[i]);
     spec.controller_apply_latency = SimDuration::millis(25);

@@ -60,6 +60,12 @@ TEST(Table, CountsRowsAndCols) {
 TEST(Formatting, FixedPrecision) {
   EXPECT_EQ(fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_fixed(3.0, 0), "3");
+  // A negative value that rounds to zero prints as zero does.
+  EXPECT_EQ(fmt_fixed(-0.3, 0), "0");
+  EXPECT_EQ(fmt_fixed(-0.5, 0), "0");  // printf rounds half to even.
+  EXPECT_EQ(fmt_fixed(-0.0, 1), "0.0");
+  EXPECT_EQ(fmt_fixed(-0.04, 1), "0.0");
+  EXPECT_EQ(fmt_fixed(-0.6, 0), "-1");
 }
 
 TEST(Formatting, CountWithSeparators) {
@@ -73,11 +79,16 @@ TEST(Formatting, SignedAlwaysShowsSign) {
   EXPECT_EQ(fmt_signed(1.5, 1), "+1.5");
   EXPECT_EQ(fmt_signed(-2.25, 2), "-2.25");
   EXPECT_EQ(fmt_signed(0.0, 1), "+0.0");
+  EXPECT_EQ(fmt_signed(-0.01, 1), "+0.0");
+  EXPECT_EQ(fmt_signed(-0.0, 1), "+0.0");
+  EXPECT_EQ(fmt_signed(-0.06, 1), "-0.1");
 }
 
 TEST(Formatting, Percent) {
   EXPECT_EQ(fmt_percent(0.5, 1), "50.0%");
   EXPECT_EQ(fmt_percent(0.333, 0), "33%");
+  EXPECT_EQ(fmt_percent(-0.0001, 1), "0.0%");
+  EXPECT_EQ(fmt_percent(-0.001, 1), "-0.1%");
 }
 
 }  // namespace

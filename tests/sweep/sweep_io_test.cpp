@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 namespace adaptbf {
 namespace {
 
@@ -184,6 +187,47 @@ TEST(SweepIo, BadAxesFailNamingTheKey) {
     EXPECT_NE(loaded.error.find(bad.needle), std::string::npos)
         << loaded.error;
   }
+}
+
+TEST(SweepIo, RepeatedCellsFailNamingTheKeyAndValue) {
+  // Two scenario files under one label: their 400 and 800 MiB/s runs
+  // would be averaged as two seeds of one cell.
+  const std::string dir = testing::TempDir();
+  for (const char* mibps : {"400", "800"}) {
+    std::ofstream(dir + "striped_" + mibps + ".ini")
+        << "[scenario]\nname = striped\nduration_s = 1\n[server]\n"
+           "seq_bandwidth_mibps = "
+        << mibps << "\n[job.1]\nprocess = continuous\n";
+  }
+  const struct {
+    const char* sweep;
+    const char* needle;
+  } cases[] = {
+      {"policies = adaptive, adaptive\nscenario = redistribution\n",
+       "policies: 'adaptive' is listed twice"},
+      {"policies = adaptive\nscenario = redistribution\n"
+       "scenario = redistribution\n",
+       "scenario 'redistribution': label 'redistribution' is already taken"},
+      {"policies = adaptive\nscenario = striped_400.ini\n"
+       "scenario = striped_800.ini\n",
+       "scenario 'striped_800.ini': label 'striped' is already taken"},
+      {"policies = adaptive\nscenario = redistribution\n"
+       "[grid]\nbucket_depth = 3, 3\n",
+       "[grid] bucket_depth = '3' is listed twice"},
+  };
+  for (const auto& bad : cases) {
+    const SweepLoadResult loaded =
+        load_sweep(std::string("[sweep]\n") + bad.sweep, dir);
+    EXPECT_FALSE(loaded.ok()) << "accepted " << bad.sweep;
+    EXPECT_NE(loaded.error.find(bad.needle), std::string::npos)
+        << loaded.error;
+  }
+  // Values compare as written: 3 and 3.0 are two cells.
+  const SweepLoadResult distinct = load_sweep(
+      "[sweep]\npolicies = adaptive\nscenario = redistribution\n"
+      "[grid]\nbucket_depth = 3, 3.0\n");
+  ASSERT_TRUE(distinct.ok()) << distinct.error;
+  EXPECT_EQ(distinct.spec->trial_count(), 2u);
 }
 
 TEST(SweepIo, GridCellsLoadUpToEveryBound) {
